@@ -373,8 +373,8 @@ class TracingPort:
     def cross(self, rows_a, rows_b, *, charge: bool = True):  # noqa: ANN001
         return self._inner.cross(rows_a, rows_b, charge=charge)
 
-    def attach_database(self, data) -> None:  # noqa: ANN001
-        self._inner.attach_database(data)
+    def attach_database(self, data, *, extends=None) -> None:  # noqa: ANN001
+        self._inner.attach_database(data, extends=extends)
 
     @property
     def kernel(self):  # noqa: ANN001

@@ -33,6 +33,7 @@ __all__ = [
     "l2_row_norms",
     "qfd_squared_one_to_many",
     "qfd_one_to_many",
+    "qfd_diff_one_to_many",
     "l2_one_to_many",
     "qfd_squared_pairwise",
     "qfd_pairwise",
@@ -122,6 +123,18 @@ def qfd_one_to_many(
             matrix, q, rows, row_norms=row_norms, q_a=q_a, q_norm=q_norm
         )
     )
+
+
+def qfd_diff_one_to_many(
+    matrix: np.ndarray, q: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """QFD distances from *q* to every row in the exact difference form.
+
+    One O(n^2) quadratic form per row, like computing the row norms the
+    Gram expansion would need, but without its per-query ``qA`` and exact
+    near zero — the cheaper form whenever the norms are not cached.
+    """
+    return np.sqrt(np.maximum(_qfd_squared_diff(matrix, q, rows), 0.0))
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:

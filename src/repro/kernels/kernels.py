@@ -118,10 +118,20 @@ class QFDKernel:
     def one_to_many(
         self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
     ) -> np.ndarray:
+        """Distances from *q* to every row.
+
+        With cached *row_norms* this is the O(n)-per-row Gram expansion.
+        Without them the Gram form would pay the same O(n^2) per row for
+        the norms plus a ``qA``, so the unblocked kernel takes the exact
+        difference form instead (the blocked one keeps its per-row,
+        tiling-invariant arithmetic).
+        """
         if self.block_rows is not None:
             return blocked.blocked_qfd_one_to_many(
                 self.matrix, q, rows, row_norms=row_norms, block_rows=self.block_rows
             )
+        if row_norms is None:
+            return gram.qfd_diff_one_to_many(self.matrix, q, rows)
         return gram.qfd_one_to_many(self.matrix, q, rows, row_norms=row_norms)
 
     def pairwise(

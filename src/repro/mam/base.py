@@ -47,6 +47,7 @@ __all__ = [
     "NodeBatchedSearchMixin",
     "PRUNE_SLACK_REL",
     "prune_slack",
+    "pivot_limit",
     "neighbors_from_distances",
     "state_array",
     "state_int",
@@ -123,6 +124,18 @@ def prune_slack(*terms: float) -> float:
     return PRUNE_SLACK_REL * total
 
 
+def pivot_limit(radius: float, reach: float) -> float:
+    """Threshold of a pivot-filter test at *radius*.
+
+    Pivot tables compare build-time ``d(o, p)`` with query-time
+    ``d(q, p)``; the Gram kernels agree with themselves only to the last
+    ulps when the two arguments swap roles, so a self-query's pivot
+    bound can come out an ulp above 0.  The slack scales with *reach*,
+    the query's largest pivot distance, and only ever admits a candidate.
+    """
+    return radius + prune_slack(radius, reach, reach)
+
+
 @dataclass(frozen=True, order=True)
 class Neighbor:
     """One query answer: the object's distance and database index.
@@ -138,21 +151,31 @@ class Neighbor:
 class DistancePort:
     """Uniform access to a distance function, scalar or vectorized.
 
+    Every batched evaluation takes one route per distance.  A distance
+    with a Gram kernel (the static QFD, the Euclidean distance; see
+    :func:`~repro.kernels.kernels.resolve_kernel`) is evaluated through
+    that kernel only: :meth:`many` calls ``kernel.one_to_many`` with the
+    cached row norms of the attached database, and :meth:`bind_query`
+    returns a :class:`BoundQuery` whose candidates then cost O(n) each.
+    Distances without a kernel (SQFD, L1, ...) fall back to their own
+    vectorized ``one_to_many`` form, else a scalar loop.
+
     Parameters
     ----------
     func:
-        ``d(u, v) -> float``.  If the object also has ``one_to_many``
-        (e.g. :class:`~repro.distances.base.CountingDistance`), that method
-        is used for batched evaluations; otherwise *one_to_many* is used
-        when supplied, else a Python loop.
+        ``d(u, v) -> float``, possibly wrapped in a
+        :class:`~repro.distances.base.CountingDistance`.
     one_to_many:
-        Optional vectorized ``d1m(q, rows) -> ndarray`` fallback.
+        Optional vectorized ``d1m(q, rows) -> ndarray`` for a distance
+        with no kernel (ignored when *func* brings its own).
+    use_kernel:
+        ``False`` disables the kernel route (reference paths in tests).
     block_rows:
-        When set, the resolved kernel evaluates batches through the
-        tiled block-size-invariant primitives of
+        Tile height of the kernel route.  When set, the kernel streams
+        batches through the block-size-invariant primitives of
         :mod:`repro.kernels.blocked` — the out-of-core configuration for
-        memory-mapped float32 databases.  ``None`` (default) keeps every
-        existing code path byte-identical.
+        memory-mapped float32 databases; ``None`` uses the unblocked BLAS
+        forms.
 
     Notes
     -----
@@ -205,12 +228,10 @@ class DistancePort:
         """Distances from *q* to every row of *rows*."""
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        if self._block_rows is not None and self._kernel is not None:
-            # Out-of-core scan: stream tiles through the blocked kernel
-            # (with the cached database norms when *rows* is the attached
-            # store) instead of the counted one-to-many, whose difference
-            # form would materialize full n x d float64 temporaries.
-            # Charging is identical: one batched row per candidate.
+        if self._kernel is not None:
+            # The kernel route, with the cached database norms when *rows*
+            # is the attached store (a build-time pivot column, a scan).
+            # Charged like the counted one-to-many: one batched row each.
             n = int(rows.shape[0])
             emit_charge(rows=n)
             if self._counter is not None:
@@ -267,8 +288,26 @@ class DistancePort:
             trace.batched_evaluations += rows
         emit_charge(calls=calls, rows=rows)
 
-    def attach_database(self, data: np.ndarray) -> None:
-        """Precompute and cache the per-row norms for *data* (build time)."""
+    def attach_database(
+        self, data: np.ndarray, *, extends: np.ndarray | None = None
+    ) -> None:
+        """Precompute and cache the per-row norms for *data* (build time).
+
+        *extends* is the previously attached array when *data* is that
+        array with rows appended (a dynamic insert): only the new rows'
+        norms are computed, so an insert costs O(n^2), not O(m n^2).
+        """
+        if (
+            self._kernel is not None
+            and extends is not None
+            and extends is self._norms_source
+        ):
+            tail = self._kernel.row_norms(data[extends.shape[0] :])
+            norms = np.concatenate([self._norms, tail])
+            norms.setflags(write=False)
+            self._norms = norms
+            self._norms_source = data
+            return
         self._norms_for(data)
 
     def _norms_for(self, data: np.ndarray) -> np.ndarray | None:
@@ -770,6 +809,7 @@ class AccessMethod(ABC):
         index = self.size
         previous = self._data
         self._data = np.vstack([previous, v.reshape(1, -1)])
+        self._port.attach_database(self._data, extends=previous)
         try:
             self._register_insert(index, self._data[index])
         except BaseException:

@@ -46,6 +46,7 @@ from .base import (
     DistancePort,
     Neighbor,
     NodeBatchedSearchMixin,
+    pivot_limit,
     state_array,
     state_float,
 )
@@ -170,7 +171,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Route the new object to its nearest pivot's cluster."""
-        row = self._port.many(vector, self._pivot_rows)
+        row = self._query_to_pivots(self._port.bind_query(vector, self._data))
         self._table = np.vstack([self._table, row.reshape(1, -1)])
         cluster = int(np.argmin(row))
         key = float(row[cluster])
@@ -183,15 +184,21 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
     def _candidates(
         self, query_vector: np.ndarray, radius: float, parent_tok: int = ROOT
     ) -> np.ndarray:
-        """Interval-scan + pivot-filter candidates for a range query."""
+        """Interval-scan + pivot-filter candidates for a range query.
+
+        Both tests run at :func:`~repro.mam.base.pivot_limit`, the radius
+        widened by an ulp-scale slack: the keys and the table are
+        build-time distances, the query vector query-time ones.
+        """
+        limit = pivot_limit(radius, float(query_vector.max()))
         out: list[np.ndarray] = []
         for cluster in range(self.n_pivots):
             keys = self._cluster_keys[cluster]
             if keys.size == 0:
                 continue
             center = query_vector[cluster]
-            lo = np.searchsorted(keys, center - radius, side="left")
-            hi = np.searchsorted(keys, center + radius, side="right")
+            lo = np.searchsorted(keys, center - limit, side="left")
+            hi = np.searchsorted(keys, center + limit, side="right")
             if lo >= hi:
                 # The whole cluster interval misses the query ring.
                 record_pruned()
@@ -200,7 +207,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
                     # nearest cluster key — how far the interval missed.
                     gap = float(np.min(np.abs(keys - center)))
                     emit_lb_check(
-                        parent_tok, gap, radius,
+                        parent_tok, gap, limit,
                         pruned=True, label="cluster-interval",
                     )
                     emit_prune(parent_tok, 1, "cluster-interval")
@@ -212,13 +219,13 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             members = self._cluster_members[cluster][lo:hi]
             # LAESA filter over the full pivot table.
             lb = np.max(np.abs(self._table[members] - query_vector), axis=1)
-            survivors = members[lb <= radius]
+            survivors = members[lb <= limit]
             record_filter(int(members.size), int(survivors.size))
             if tok >= 0:
                 for member, val in zip(members, lb):
                     emit_lb_check(
-                        tok, float(val), radius,
-                        pruned=val > radius, label="laesa",
+                        tok, float(val), limit,
+                        pruned=val > limit, label="laesa",
                     )
             out.append(survivors)
         if not out:
@@ -226,15 +233,15 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         return np.concatenate(out)
 
     def _query_to_pivots(self, bound: BoundQuery) -> np.ndarray:
-        """Query-to-pivot distances, arithmetic-identical to the table.
+        """Query-to-pivot distances through the bound query (``p`` rows).
 
-        The interval scan compares these against build-time keys with exact
-        ``searchsorted`` arithmetic (a radius-0 query needs bitwise
-        equality), so they must come from the same evaluation path that
-        built ``self._table`` — ``port.many`` — not the kernel query
-        context used for candidate refinement.
+        The table was built by the same Gram kernel with query and row in
+        the other roles, so a query equal to a stored object reproduces
+        its table row only to the last ulps; :meth:`_candidates` widens
+        its interval scan and filter by that slack, which keeps radius-0
+        self-queries exact.
         """
-        return self._port.many(bound.query, self._pivot_rows)
+        return bound.many(self._pivot_rows, self._pivot_indices)
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
         query_vector = self._query_to_pivots(bound)

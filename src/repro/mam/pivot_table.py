@@ -53,7 +53,16 @@ from ..obs.events import (
     emit_result_add,
     events_enabled,
 )
-from .base import AccessMethod, DistancePort, Neighbor, _KnnHeap, state_array, state_str
+from .base import (
+    AccessMethod,
+    BoundQuery,
+    DistancePort,
+    Neighbor,
+    _KnnHeap,
+    pivot_limit,
+    state_array,
+    state_str,
+)
 from .pivots import select_pivots
 
 if TYPE_CHECKING:
@@ -70,6 +79,11 @@ _BOUND_LABELS = {
     "ptolemaic": "pivot-ptolemaic",
     "best": "pivot-best",
 }
+
+#: Rows in the first speculative block of the kNN refinement walk; each
+#: later block doubles, so the rows evaluated past the stop stay within a
+#: small constant factor of the rows the walk needed.
+_FIRST_BLOCK = 32
 
 
 class PivotTable(AccessMethod):
@@ -108,8 +122,9 @@ class PivotTable(AccessMethod):
     """
 
     #: Every database touch is a ``port.many`` over the stored rows or a
-    #: small fancy-indexed candidate copy — a blocked kernel streams the
-    #: former in tiles, so a memory-mapped store is never materialized.
+    #: bound query over a small fancy-indexed candidate copy — a blocked
+    #: kernel streams the former in tiles, so a memory-mapped store is
+    #: never materialized.
     supports_out_of_core = True
 
     def __init__(
@@ -306,9 +321,13 @@ class PivotTable(AccessMethod):
         view.setflags(write=False)
         return view
 
-    def _query_vector(self, query: np.ndarray) -> np.ndarray:
-        """Distances from the query to every pivot (``p`` evaluations)."""
-        return self._port.many(query, self._pivot_rows)
+    def _bind(self, query: np.ndarray) -> tuple[BoundQuery, np.ndarray]:
+        """Bind *query* once; return it with its pivot distances.
+
+        The ``p`` pivot distances are charged as batched rows.
+        """
+        bound = self._port.bind_query(query, self._data)
+        return bound, bound.many(self._pivot_rows, self._pivot_indices)
 
     def _triangle_bounds(self, query_vector: np.ndarray) -> np.ndarray:
         """Pivot-mapped L∞ (triangle) lower bound for every object."""
@@ -381,21 +400,22 @@ class PivotTable(AccessMethod):
         )
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        qv = self._query_vector(query)
+        bound, qv = self._bind(query)
         lb = self._lower_bounds(qv)
-        candidates = np.flatnonzero(lb <= radius)
+        limit = pivot_limit(radius, float(qv.max()))
+        candidates = np.flatnonzero(lb <= limit)
         if events_enabled():
             tok = emit_node_enter(ROOT, "pivot-filter")
             for label, bounds in self._bound_views(qv, lb):
                 for val in bounds:
                     emit_lb_check(
-                        tok, float(val), radius,
-                        pruned=val > radius, label=label,
+                        tok, float(val), limit,
+                        pruned=val > limit, label=label,
                     )
-        return self._refine_range(query, radius, candidates)
+        return self._refine_range(bound, radius, candidates)
 
     def _refine_range(
-        self, query: np.ndarray, radius: float, candidates: np.ndarray
+        self, bound: BoundQuery, radius: float, candidates: np.ndarray
     ) -> list[Neighbor]:
         """Verify the non-filtered candidates with real distances."""
         record_filter(self.size, int(candidates.size))
@@ -403,7 +423,7 @@ class PivotTable(AccessMethod):
         if candidates.size == 0:
             return []
         tok = emit_node_enter(ROOT, "refine")
-        distances = self._port.many(query, self._data[candidates])
+        distances = bound.many(self._data[candidates], candidates)
         within = distances <= radius
         if tok >= 0:
             for dist, idx in zip(distances, candidates):
@@ -416,7 +436,7 @@ class PivotTable(AccessMethod):
         ]
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        qv = self._query_vector(query)
+        bound, qv = self._bind(query)
         lb = self._lower_bounds(qv)
         aux: tuple[tuple[str, np.ndarray], ...] = ()
         if events_enabled() and self._bound != "triangle":
@@ -424,16 +444,25 @@ class PivotTable(AccessMethod):
             # pure table arithmetic, zero distance evaluations.
             views = self._bound_views(qv, lb)
             aux = tuple(views[:-1])
-        return self._refine_knn(query, k, lb, aux=aux)
+        return self._refine_knn(bound, k, lb, qv, aux=aux)
 
     def _refine_knn(
         self,
-        query: np.ndarray,
+        bound: BoundQuery,
         k: int,
         lb: np.ndarray,
+        query_vector: np.ndarray,
         aux: "tuple[tuple[str, np.ndarray], ...]" = (),
     ) -> list[Neighbor]:
         """Best-first refinement in ascending lower-bound order.
+
+        Candidates are evaluated physically in speculative blocks that
+        double in size (uncharged); the heap and the ``lb > radius`` stop
+        are replayed candidate by candidate, and exactly the ``refined``
+        candidates the walk reached are charged, as scalar calls — the
+        logical cost of the classic one-at-a-time LAESA walk.  The block
+        schedule depends on the order alone, so every path (single query,
+        batch, EXPLAIN) computes the same floats.
 
         *aux* carries comparison bound arrays (label, values) emitted
         alongside the operative bound at each step — the "would the other
@@ -443,26 +472,30 @@ class PivotTable(AccessMethod):
         heap = _KnnHeap(k)
         tok = emit_node_enter(ROOT, "refine")
         label = _BOUND_LABELS[self._bound]
+        reach = float(query_vector.max())
         refined = 0
-        for idx in order:
-            for aux_label, bounds in aux:
-                emit_lb_check(
-                    tok, float(bounds[idx]), heap.radius,
-                    pruned=bounds[idx] > heap.radius, label=aux_label,
-                )
-            if lb[idx] > heap.radius:
-                emit_lb_check(
-                    tok, float(lb[idx]), heap.radius,
-                    pruned=True, label=label,
-                )
-                break
-            emit_lb_check(
-                tok, float(lb[idx]), heap.radius, pruned=False, label=label
-            )
-            dist = self._port.pair(query, self._data[idx])
-            emit_candidate_verify(tok, int(idx), float(dist))
-            heap.offer(dist, int(idx))
-            refined += 1
+        start, size = 0, _FIRST_BLOCK
+        while start < order.size:
+            ids = order[start : start + size]
+            start += size
+            size *= 2
+            distances = bound.compute_many(self._data[ids], ids)
+            for idx, low, dist in zip(ids.tolist(), lb[ids].tolist(), distances.tolist()):
+                limit = pivot_limit(heap.radius, reach)
+                for aux_label, bounds in aux:
+                    emit_lb_check(
+                        tok, float(bounds[idx]), limit,
+                        pruned=bounds[idx] > limit, label=aux_label,
+                    )
+                if low > limit:
+                    emit_lb_check(tok, low, limit, pruned=True, label=label)
+                    start = order.size  # the rest is pruned wholesale
+                    break
+                emit_lb_check(tok, low, limit, pruned=False, label=label)
+                emit_candidate_verify(tok, idx, dist)
+                heap.offer(dist, idx)
+                refined += 1
+        bound.charge_calls(refined)
         record_filter(self.size, refined)
         record_candidates(refined)
         return heap.neighbors()
@@ -480,14 +513,15 @@ class PivotTable(AccessMethod):
         the table scan that serves the triangle-inequality filter runs
         once for the whole chunk instead of once per query.
         """
-        lb_matrix, shared = self._batch_lower_bounds(queries, traces)
+        bounds, qvs, lb_matrix, shared = self._batch_lower_bounds(queries, traces)
         out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
+        for pos, bound in enumerate(bounds):
             trace = traces[pos] if traces is not None else None
             start = perf_counter()
             with activate_trace(trace):
-                candidates = np.flatnonzero(lb_matrix[:, pos] <= radius)
-                result = self._refine_range(queries[pos], radius, candidates)
+                limit = pivot_limit(radius, float(qvs[pos].max()))
+                candidates = np.flatnonzero(lb_matrix[:, pos] <= limit)
+                result = self._refine_range(bound, radius, candidates)
             result.sort()
             if trace is not None:
                 trace.seconds += shared + perf_counter() - start
@@ -502,13 +536,13 @@ class PivotTable(AccessMethod):
         traces: "list[QueryTrace] | None" = None,
     ) -> list[list[Neighbor]]:
         """Vectorized batch plan for kNN; see :meth:`_range_search_batch`."""
-        lb_matrix, shared = self._batch_lower_bounds(queries, traces)
+        bounds, qvs, lb_matrix, shared = self._batch_lower_bounds(queries, traces)
         out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
+        for pos, bound in enumerate(bounds):
             trace = traces[pos] if traces is not None else None
             start = perf_counter()
             with activate_trace(trace):
-                result = self._refine_knn(queries[pos], k, lb_matrix[:, pos])
+                result = self._refine_knn(bound, k, lb_matrix[:, pos], qvs[pos])
             result.sort()
             if trace is not None:
                 trace.seconds += shared + perf_counter() - start
@@ -518,25 +552,27 @@ class PivotTable(AccessMethod):
 
     def _batch_lower_bounds(
         self, queries: np.ndarray, traces: "list[QueryTrace] | None"
-    ) -> tuple[np.ndarray, float]:
-        """Per-query pivot distances plus the shared ``m x s`` bound matrix.
+    ) -> tuple[list[BoundQuery], np.ndarray, np.ndarray, float]:
+        """Bound queries, their pivot distances and the ``m x s`` bounds.
 
-        Returns the matrix and the per-query share of the matrix's wall
-        time (the scan is joint work, amortized evenly over the chunk in
-        the traces).
+        Returns the bound queries, the stacked query vectors, the matrix
+        and the per-query share of the matrix's wall time (the scan is
+        joint work, amortized evenly over the chunk in the traces).
         """
+        bounds: list[BoundQuery] = []
         qvs = np.empty((queries.shape[0], self.n_pivots), dtype=np.float64)
         for pos in range(queries.shape[0]):
             trace = traces[pos] if traces is not None else None
             start = perf_counter()
             with activate_trace(trace):
-                qvs[pos] = self._query_vector(queries[pos])
+                bound, qvs[pos] = self._bind(queries[pos])
+            bounds.append(bound)
             if trace is not None:
                 trace.seconds += perf_counter() - start
         start = perf_counter()
         lb_matrix = self._lower_bound_matrix(qvs)
         shared = (perf_counter() - start) / max(1, queries.shape[0])
-        return lb_matrix, shared
+        return bounds, qvs, lb_matrix, shared
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Compute the new object's pivot distances and grow the table.
@@ -544,7 +580,7 @@ class PivotTable(AccessMethod):
         Costs ``p`` distance evaluations, exactly the paper's Section 4.2.1
         per-object indexing cost; the pivot set itself never changes.
         """
-        row = self._port.many(vector, self._pivot_rows)
+        _, row = self._bind(vector)
         self._table = np.vstack([self._table, row.reshape(1, -1)])
 
     def candidates_for_radius(self, query: ArrayLike, radius: float) -> int:
@@ -564,5 +600,6 @@ class PivotTable(AccessMethod):
             raise QueryError(f"malformed range query: {exc}") from exc
         if radius < 0.0:
             raise QueryError(f"radius must be non-negative, got {radius}")
-        lb = self._lower_bounds(self._query_vector(q))
-        return int(np.count_nonzero(lb <= radius))
+        _, qv = self._bind(q)
+        lb = self._lower_bounds(qv)
+        return int(np.count_nonzero(lb <= pivot_limit(radius, float(qv.max()))))

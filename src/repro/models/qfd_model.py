@@ -95,7 +95,7 @@ class QFDModel:
             database, self.dim, store=store, store_dtype=store_dtype,
             store_path=store_path,
         )
-        counter = CountingDistance(self._qfd, one_to_many=self._qfd.one_to_many)
+        counter = CountingDistance(self._qfd)
         with span(f"build/{method}", model=self.name):
             start = time.perf_counter()
             am = instantiate(method, data, counter, kwargs, block_rows=block_rows)
@@ -171,7 +171,7 @@ class QFDModel:
                 f"SAM {snapshot.method!r} cannot index the raw QFD space; "
                 "transform it with the QMap model first (paper Section 2.4)"
             )
-        counter = CountingDistance(self._qfd, one_to_many=self._qfd.one_to_many)
+        counter = CountingDistance(self._qfd)
         distance, backing = restore_distance(
             counter, snapshot, store=store, store_path=store_path,
             block_rows=block_rows,

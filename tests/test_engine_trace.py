@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import QuadraticFormDistance
 from repro.datasets import histogram_workload
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.engine import (
@@ -29,6 +30,7 @@ from repro.engine import (
     record_filter,
 )
 from repro.mam import DistancePort, PivotTable, SequentialFile
+from repro.obs.events import EventBuffer, collect_events
 
 N_PIVOTS = 8
 
@@ -111,6 +113,93 @@ class TestTracesAgreeWithCounters:
         am.knn_search_batch(workload.queries, 3, executor="thread", workers=2)
         assert am._port is port_before
         assert not isinstance(am._port, TracingPort)
+
+
+@pytest.mark.parametrize("bound", ["triangle", "best"])
+class TestQFDPivotChargeSplit:
+    """The QFD pivot table evaluates through a bound Gram query, yet
+    charges the paper's split: ``p`` batched pivot rows plus one scalar
+    call per refined kNN candidate (range refinement: one batched row
+    per candidate) — identically on every execution path."""
+
+    K = 10
+
+    @staticmethod
+    def _index(workload, bound):
+        counter = CountingDistance(QuadraticFormDistance(workload.matrix))
+        am = PivotTable(
+            workload.database, counter, n_pivots=N_PIVOTS, bound=bound,
+            rng=np.random.default_rng(3),
+        )
+        return am, counter
+
+    @staticmethod
+    def _search(am, kind, queries, arg, **batch):
+        if kind == "knn":
+            return am.knn_search_batch(queries, arg, **batch)
+        return am.range_search_batch(queries, arg, **batch)
+
+    def _paths(self, am, counter, kind, arg, queries):
+        """``(answers, [(scalar, batched, candidates)])`` for each path."""
+        single_answers, single = [], []
+        for q in queries:
+            trace = QueryTrace()
+            before = counter.stats
+            with activate_trace(trace):
+                result = (
+                    am.knn_search(q, arg) if kind == "knn" else am.range_search(q, arg)
+                )
+            after = counter.stats
+            split = (after.calls - before.calls, after.batch_rows - before.batch_rows)
+            assert split == (trace.scalar_evaluations, trace.batched_evaluations)
+            single_answers.append(result)
+            single.append(split + (trace.candidates,))
+        paths = {"single": (single_answers, single)}
+        for name, batch in (
+            ("serial", {"executor": "serial"}),
+            ("thread", {"executor": "thread", "workers": 2}),
+        ):
+            collector = TraceCollector()
+            answers = self._search(am, kind, queries, arg, collector=collector, **batch)
+            traces = sorted(collector.traces, key=lambda t: t.query_index)
+            paths[name] = (
+                answers,
+                [(t.scalar_evaluations, t.batched_evaluations, t.candidates) for t in traces],
+            )
+        explained_answers, explained = [], []
+        for q, (_, _, candidates) in zip(queries, single):
+            buffer = EventBuffer()
+            with collect_events(buffer):
+                result = (
+                    am.knn_search(q, arg) if kind == "knn" else am.range_search(q, arg)
+                )
+            explained_answers.append(result)
+            explained.append((buffer.charged_calls, buffer.charged_rows, candidates))
+        paths["explain"] = (explained_answers, explained)
+        return paths
+
+    def test_knn_split_is_p_batched_plus_refined_scalar(self, workload, bound) -> None:
+        am, counter = self._index(workload, bound)
+        paths = self._paths(am, counter, "knn", self.K, workload.queries)
+        answers, splits = paths["single"]
+        for scalar, batched, refined in splits:
+            assert batched == N_PIVOTS
+            assert scalar == refined > 0
+        for name, (other_answers, other_splits) in paths.items():
+            assert other_splits == splits, name
+            assert other_answers == answers, name  # bit-identical distances
+
+    def test_range_split_is_p_plus_candidates_batched(self, workload, bound) -> None:
+        am, counter = self._index(workload, bound)
+        radius = am.knn_search(workload.queries[0], 6)[-1].distance
+        paths = self._paths(am, counter, "range", radius, workload.queries)
+        answers, splits = paths["single"]
+        for scalar, batched, candidates in splits:
+            assert scalar == 0
+            assert batched == N_PIVOTS + candidates
+        for name, (other_answers, other_splits) in paths.items():
+            assert other_splits == splits, name
+            assert other_answers == answers, name
 
 
 class TestTracePlumbing:

@@ -207,3 +207,37 @@ class TestSelfQueryExactness:
         q = workload.database[17]
         top = index.knn_search(q, 1)[0]
         assert top.index == 17 and top.distance < 1e-12
+
+
+FLAT_CASES = [
+    pytest.param("pivot-table", {"n_pivots": 12, "bound": bound}, id=f"pivot-table-{bound}")
+    for bound in ("triangle", "ptolemaic", "best")
+] + [pytest.param("sequential", {}, id="sequential")]
+
+
+class TestFlatSelfQueryExactness:
+    """Radius-0 and k=1 self-queries on the flat methods under QFD.
+
+    The pivot table filters query-time Gram distances against a table
+    built by the same kernel with query and row in the other roles, so
+    the two agree only to the last ulps; the filter's slack must still
+    admit the object itself at its exact 0.0 distance.  The probes
+    include a pivot, whose own table column holds the 0.0.
+    """
+
+    @pytest.mark.parametrize("method,kwargs", FLAT_CASES)
+    def test_qfd_self_query_is_exact(self, method, kwargs, workload) -> None:
+        index = QFDModel(workload.matrix).build_index(
+            method, workload.database, **kwargs
+        )
+        probes = [0, 17, 349]
+        pivots = getattr(index.access_method, "pivot_indices", [])
+        probes.extend(pivots[:2])
+        for probe in probes:
+            q = workload.database[probe]
+            hits = index.range_search(q, 0.0)
+            assert any(n.index == probe and n.distance == 0.0 for n in hits), (
+                f"{method} {kwargs}: radius-0 self-query missed {probe}: {hits}"
+            )
+            top = index.knn_search(q, 1)[0]
+            assert top.index == probe and top.distance == 0.0, (method, kwargs, top)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import QuadraticFormDistance
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.exceptions import EmptyIndexError, QueryError
 from repro.mam import SequentialFile
@@ -47,6 +48,37 @@ class TestDistancePort:
         port = DistancePort(cd)
         port.many(np.zeros(2), np.ones((5, 2)))
         assert cd.count == 5
+
+    def test_kernel_distance_batches_only_through_the_kernel(
+        self, spd_16: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        qfd = QuadraticFormDistance(spd_16)
+
+        def difference_form(q, rows):  # noqa: ANN001
+            raise AssertionError("a kernel-backed port reached one_to_many")
+
+        cd = CountingDistance(qfd, one_to_many=difference_form)
+        port = DistancePort(cd)
+        rows = rng.random((7, 16))
+        port.attach_database(rows)
+        out = port.many(rows[3], rows)
+        assert out[3] == 0.0
+        assert np.allclose(out, [qfd(rows[3], row) for row in rows], atol=1e-12)
+        assert (cd.stats.calls, cd.stats.batch_rows) == (0, 7)
+
+    def test_insert_extends_cached_norms(
+        self, spd_16: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        qfd = QuadraticFormDistance(spd_16)
+        am = SequentialFile(rng.random((9, 16)), qfd)
+        port = am.distance
+        before = port._norms.copy()
+        v = rng.random(16)
+        am.insert(v)
+        assert port._norms_source is am.database
+        # Only the new row's norm is computed; the cached ones are kept.
+        assert np.array_equal(port._norms[:-1], before)
+        assert port._norms[-1] == pytest.approx(float(v @ spd_16 @ v), rel=1e-12)
 
 
 class TestNeighborsFromDistances:
