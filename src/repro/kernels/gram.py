@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "RECHECK_REL",
+    "DIFF_CHUNK_ROWS",
     "qfd_row_norms",
     "l2_row_norms",
     "qfd_squared_one_to_many",
@@ -47,6 +48,11 @@ __all__ = [
 #: The expansion's error is O(eps * scale) ~ 1e-14 * scale; true squared
 #: distances the caller can ever act on are far above 1e-12 * scale.
 RECHECK_REL = 1e-12
+
+#: Chunk height of :func:`qfd_diff_one_to_many`.  A BLAS product's last
+#: ulps depend on its operand shapes, so the chunking is fixed here rather
+#: than taken from a kernel's ``block_rows``.
+DIFF_CHUNK_ROWS = 8192
 
 
 def _as64(rows: np.ndarray) -> np.ndarray:
@@ -133,8 +139,18 @@ def qfd_diff_one_to_many(
     One O(n^2) quadratic form per row, like computing the row norms the
     Gram expansion would need, but without its per-query ``qA`` and exact
     near zero — the cheaper form whenever the norms are not cached.
+
+    Rows go through fixed chunks of :data:`DIFF_CHUNK_ROWS` whatever tile
+    size the caller runs with, so the blocked and unblocked kernels return
+    the same bits here and the temporaries stay bounded.
     """
-    return np.sqrt(np.maximum(_qfd_squared_diff(matrix, q, rows), 0.0))
+    n = rows.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, DIFF_CHUNK_ROWS):
+        stop = min(start + DIFF_CHUNK_ROWS, n)
+        sq = _qfd_squared_diff(matrix, q, rows[start:stop])
+        np.sqrt(np.maximum(sq, 0.0), out=out[start:stop])
+    return out
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:

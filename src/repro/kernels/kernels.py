@@ -122,16 +122,18 @@ class QFDKernel:
 
         With cached *row_norms* this is the O(n)-per-row Gram expansion.
         Without them the Gram form would pay the same O(n^2) per row for
-        the norms plus a ``qA``, so the unblocked kernel takes the exact
-        difference form instead (the blocked one keeps its per-row,
-        tiling-invariant arithmetic).
+        the norms plus a ``qA``, so the kernel takes the exact difference
+        form instead, blocked or not.  Tree builds evaluate node rows this
+        way, and sharing the arithmetic keeps a blocked build's structure
+        (and its charged count) equal to the unblocked one even where
+        near-duplicate rows tie far below the Gram form's rounding error.
         """
+        if row_norms is None:
+            return gram.qfd_diff_one_to_many(self.matrix, q, rows)
         if self.block_rows is not None:
             return blocked.blocked_qfd_one_to_many(
                 self.matrix, q, rows, row_norms=row_norms, block_rows=self.block_rows
             )
-        if row_norms is None:
-            return gram.qfd_diff_one_to_many(self.matrix, q, rows)
         return gram.qfd_one_to_many(self.matrix, q, rows, row_norms=row_norms)
 
     def pairwise(

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core import random_spd_matrix
 from repro.kernels import (
     DEFAULT_BLOCK_ROWS,
+    QFDKernel,
     blocked_l2_cross,
     blocked_l2_one_to_many,
     blocked_l2_pairwise,
@@ -144,6 +145,32 @@ class TestBlockSizeInvariance:
                 blocked_qfd_cross(matrix, others, rows, block_rows=b),
                 blocked_qfd_cross(matrix, others.astype(np.float64), heap, block_rows=b),
             )
+
+
+class TestKernelDifferenceForm:
+    """Without cached norms the QFD kernel takes one arithmetic, blocked or not."""
+
+    def test_blocked_and_unblocked_return_the_same_bits(self, setup) -> None:
+        matrix, rows, _, q = setup
+        # Near-duplicates of the first row: every distance to them ties
+        # far below the Gram form's rounding error.
+        twins = rows[:1] + np.array([[0.0], [1e-30], [1e-20]], dtype=np.float32)
+        batch = np.concatenate([rows, twins])
+        reference = gram.qfd_diff_one_to_many(matrix, q, batch)
+        for b in BLOCK_SIZES:
+            got = QFDKernel(matrix, block_rows=b).one_to_many(q, batch)
+            assert np.array_equal(got, reference), f"block_rows={b}"
+
+    def test_chunked_difference_form_matches_one_pass(self, setup, monkeypatch) -> None:
+        matrix, rows, _, q = setup
+        one_pass = gram.qfd_diff_one_to_many(matrix, q, rows)
+        monkeypatch.setattr(gram, "DIFF_CHUNK_ROWS", 5)
+        chunked = gram.qfd_diff_one_to_many(matrix, q, rows)
+        assert chunked.shape == (N,)
+        np.testing.assert_allclose(chunked, one_pass, rtol=1e-12, atol=0.0)
+        for start in range(0, N, 5):
+            head = gram.qfd_diff_one_to_many(matrix, q, rows[start:start + 5])
+            assert np.array_equal(chunked[start:start + 5], head)
 
 
 class TestBlockInvarianceProperty:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.color import rgb_bin_prototypes
@@ -152,6 +152,11 @@ class TestChargedCountProperty:
         k=st.integers(1, 6),
     )
     @settings(max_examples=5, deadline=None)
+    # Databases holding near-duplicate rows (mutual distances ~1e-15),
+    # whose SAT / vp-tree build order the Gram form's rounding used to
+    # flip between the unblocked and the blocked kernels.
+    @example(seed=248, b1=1, b2=1, k=1)
+    @example(seed=233, b1=1, b2=1, k=1)
     def test_counts_equal_across_paths(self, case, seed, b1, b2, k) -> None:
         """Heap twin at tiling ``b1`` vs mmap at tiling ``b2``: the
         blocked kernels are bit-identical across tilings, so answers AND
