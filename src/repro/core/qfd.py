@@ -16,6 +16,7 @@ import numpy as np
 
 from .._typing import ArrayLike, Matrix, Vector, as_square_matrix, as_vector, as_vector_batch
 from ..exceptions import NotSymmetricError
+from ..kernels.gram import qfd_diff_one_to_many
 from .symmetrize import is_symmetric, symmetrize
 from .validation import require_positive_definite
 
@@ -89,11 +90,10 @@ class QuadraticFormDistance:
         """
         query = as_vector(q, self.dim, name="q")
         rows = as_vector_batch(batch, self.dim, name="batch")
-        diff = rows - query
-        # One BLAS gemm plus an elementwise reduction: still O(m n^2)
+        # BLAS gemms plus an elementwise reduction: still O(m n^2)
         # arithmetic, just with the best constants the QFD model can get.
-        sq = np.einsum("ij,ij->i", diff @ self._matrix, diff)
-        return np.sqrt(np.maximum(sq, 0.0))
+        # The same arithmetic the QFD kernel uses without cached norms.
+        return qfd_diff_one_to_many(self._matrix, query, rows)
 
     def pairwise(self, batch: ArrayLike) -> Matrix:
         """Full ``m x m`` distance matrix over the rows of *batch*.

@@ -353,8 +353,8 @@ class TracingPort:
             trace.scalar_evaluations += 1
         return self._inner.pair(u, v)
 
-    def many(self, q, rows):  # noqa: ANN001
-        out = self._inner.many(q, rows)
+    def many(self, q, rows, *, pivot: bool = False):  # noqa: ANN001
+        out = self._inner.many(q, rows, pivot=pivot)
         trace = _ACTIVE_TRACE.get()
         if trace is not None:
             trace.batched_evaluations += int(out.shape[0])

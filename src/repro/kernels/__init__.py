@@ -22,7 +22,10 @@ from .blocked import (
 )
 from .cholesky_cache import cached_cholesky, cholesky_cache_info, clear_cholesky_cache
 from .gram import (
+    GRAM_ERR_REL,
+    PIVOT_RECHECK_REL,
     RECHECK_REL,
+    distance_error,
     l2_cross,
     l2_one_to_many,
     l2_pairwise,
@@ -44,7 +47,10 @@ from .ptolemaic import (
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
+    "GRAM_ERR_REL",
+    "PIVOT_RECHECK_REL",
     "RECHECK_REL",
+    "distance_error",
     "blocked_l2_cross",
     "blocked_l2_one_to_many",
     "blocked_l2_pairwise",

@@ -138,6 +138,7 @@ def blocked_qfd_one_to_many(
     q_a: np.ndarray | None = None,
     q_norm: float | None = None,
     block_rows: int | None = None,
+    recheck_rel: float = RECHECK_REL,
 ) -> np.ndarray:
     """QFD distances from *q* to every row, streamed tile by tile."""
     q64 = np.asarray(q, dtype=np.float64)
@@ -156,7 +157,7 @@ def blocked_qfd_one_to_many(
         else:
             norms = row_norms[start:stop]
         sq = q_norm + norms - 2.0 * np.einsum("ij,j->i", tile, q_a)
-        for i in np.flatnonzero(sq <= RECHECK_REL * (q_norm + norms)):
+        for i in np.flatnonzero(sq <= recheck_rel * (q_norm + norms)):
             sq[i] = _qfd_exact_sq(matrix, tile[i], q64)
         np.sqrt(np.maximum(sq, 0.0), out=out[start:stop])
     return out

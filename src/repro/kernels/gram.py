@@ -29,7 +29,10 @@ import numpy as np
 
 __all__ = [
     "RECHECK_REL",
+    "PIVOT_RECHECK_REL",
+    "GRAM_ERR_REL",
     "DIFF_CHUNK_ROWS",
+    "distance_error",
     "qfd_row_norms",
     "l2_row_norms",
     "qfd_squared_one_to_many",
@@ -49,10 +52,37 @@ __all__ = [
 #: distances the caller can ever act on are far above 1e-12 * scale.
 RECHECK_REL = 1e-12
 
+#: Recheck threshold for *pivot distances*, the entries a pivot filter
+#: compares across build and query time.  Raising the threshold caps the
+#: expansion's absolute error (see :func:`distance_error`) at a level the
+#: filter's slack can afford, at the price of recomputing the rare pivot
+#: distances below it in the difference form.
+PIVOT_RECHECK_REL = 1e-6
+
+#: Rounding model of the expansion: ``|s - d^2| <= GRAM_ERR_REL * (uAu^T +
+#: vAv^T)`` for the computed squared distance ``s``.  Measured at under
+#: 4 eps on 64-d and 512-d histogram workloads; 64 eps leaves a wide margin.
+GRAM_ERR_REL = 64 * float(np.finfo(np.float64).eps)
+
 #: Chunk height of :func:`qfd_diff_one_to_many`.  A BLAS product's last
 #: ulps depend on its operand shapes, so the chunking is fixed here rather
 #: than taken from a kernel's ``block_rows``.
 DIFF_CHUNK_ROWS = 8192
+
+
+def distance_error(norm_sum: float, recheck_rel: float = RECHECK_REL) -> float:
+    """Bound on ``|d~ - d|`` for one expanded distance with recheck.
+
+    *norm_sum* bounds ``uAu^T + vAv^T`` of the pair.  An expanded result
+    kept above ``recheck_rel * norm_sum`` has ``d >= sqrt(recheck_rel *
+    norm_sum)``, so its error ``|s - d^2| / (d~ + d)`` is at most
+    ``GRAM_ERR_REL * sqrt(norm_sum / recheck_rel)``; a rechecked one comes
+    from the difference form, whose error is relative and smaller still.
+    The error is absolute — it does not shrink with the distance — which
+    is why tests comparing expanded distances need this term, not only a
+    relative slack.
+    """
+    return GRAM_ERR_REL * float(np.sqrt(norm_sum / recheck_rel))
 
 
 def _as64(rows: np.ndarray) -> np.ndarray:
@@ -92,12 +122,14 @@ def qfd_squared_one_to_many(
     row_norms: np.ndarray | None = None,
     q_a: np.ndarray | None = None,
     q_norm: float | None = None,
+    recheck_rel: float = RECHECK_REL,
 ) -> np.ndarray:
     """Squared QFD from *q* to every row via the Gram expansion.
 
     With *row_norms*, *q_a* (= ``qA``) and *q_norm* (= ``qAq^T``) supplied,
     each row costs one O(n) dot product — this is the amortized hot path of
-    :class:`~repro.kernels.kernels.QFDQueryContext`.
+    :class:`~repro.kernels.kernels.QFDQueryContext`.  Results at or below
+    *recheck_rel* of the norm sum are recomputed in the difference form.
     """
     q = _as64(q)
     rows = _as64(rows)
@@ -108,7 +140,7 @@ def qfd_squared_one_to_many(
     if row_norms is None:
         row_norms = qfd_row_norms(matrix, rows)
     sq = q_norm + row_norms - 2.0 * (rows @ q_a)
-    suspect = np.flatnonzero(sq <= RECHECK_REL * (q_norm + row_norms))
+    suspect = np.flatnonzero(sq <= recheck_rel * (q_norm + row_norms))
     if suspect.size:
         sq[suspect] = _qfd_squared_diff(matrix, q, rows[suspect])
     return np.maximum(sq, 0.0)
@@ -122,11 +154,18 @@ def qfd_one_to_many(
     row_norms: np.ndarray | None = None,
     q_a: np.ndarray | None = None,
     q_norm: float | None = None,
+    recheck_rel: float = RECHECK_REL,
 ) -> np.ndarray:
     """QFD distances from *q* to every row (Gram expansion + recheck)."""
     return np.sqrt(
         qfd_squared_one_to_many(
-            matrix, q, rows, row_norms=row_norms, q_a=q_a, q_norm=q_norm
+            matrix,
+            q,
+            rows,
+            row_norms=row_norms,
+            q_a=q_a,
+            q_norm=q_norm,
+            recheck_rel=recheck_rel,
         )
     )
 
@@ -138,7 +177,8 @@ def qfd_diff_one_to_many(
 
     One O(n^2) quadratic form per row, like computing the row norms the
     Gram expansion would need, but without its per-query ``qA`` and exact
-    near zero — the cheaper form whenever the norms are not cached.
+    near zero — the cheaper form whenever the norms are not cached.  This
+    is also :meth:`~repro.core.qfd.QuadraticFormDistance.one_to_many`.
 
     Rows go through fixed chunks of :data:`DIFF_CHUNK_ROWS` whatever tile
     size the caller runs with, so the blocked and unblocked kernels return

@@ -15,12 +15,23 @@ behind a small object interface the access-method layer can hold on to:
 ``None`` when no batched form is known (the caller then falls back to the
 function's own vectorized form or a plain loop).
 
-Kernels are constructed with an optional ``block_rows``: when set, every
-batch method streams its candidate rows through the tiled,
-block-size-invariant primitives of :mod:`repro.kernels.blocked` instead
-of the unblocked BLAS forms — the out-of-core configuration used with
-memory-mapped float32 stores.  ``block_rows=None`` (the default) keeps
-the original unblocked arithmetic byte-identical.
+Kernels are constructed with an optional ``block_rows``: when set, the
+Gram-expansion batch methods stream their candidate rows through the
+tiled, block-size-invariant primitives of :mod:`repro.kernels.blocked`
+instead of the unblocked BLAS forms — the out-of-core configuration used
+with memory-mapped float32 stores.  One batch form ignores the tile
+height: the QFD ``one_to_many`` without cached row norms (tree builds)
+takes the difference form of :func:`~repro.kernels.gram.qfd_diff_one_to_many`
+in either configuration, in fixed chunks of ``DIFF_CHUNK_ROWS`` rows, so
+blocked and unblocked builds compute the same bits.  Its temporaries are
+up to three ``DIFF_CHUNK_ROWS x n`` float64 arrays (96 MiB at n = 512,
+the third only for float32 rows) whatever ``block_rows`` is.
+
+``recheck_rel`` on the QFD one-to-many forms raises the cancellation
+recheck threshold; pivot filters use :data:`~repro.kernels.gram.PIVOT_RECHECK_REL`
+so that :meth:`QFDQueryContext.pivot_error` bounds every pivot distance.
+The L2 forms accept and ignore it: their difference form is exact near
+zero already.
 """
 
 from __future__ import annotations
@@ -58,7 +69,13 @@ class QFDQueryContext:
         self.q_a = self.query @ kernel.matrix
         self.q_norm = float(self.q_a @ self.query)
 
-    def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    def many(
+        self,
+        rows: np.ndarray,
+        norms: np.ndarray | None = None,
+        *,
+        recheck_rel: float = gram.RECHECK_REL,
+    ) -> np.ndarray:
         """Distances from the bound query to every row."""
         if self._kernel.block_rows is not None:
             return blocked.blocked_qfd_one_to_many(
@@ -69,6 +86,7 @@ class QFDQueryContext:
                 q_a=self.q_a,
                 q_norm=self.q_norm,
                 block_rows=self._kernel.block_rows,
+                recheck_rel=recheck_rel,
             )
         return gram.qfd_one_to_many(
             self._kernel.matrix,
@@ -77,7 +95,20 @@ class QFDQueryContext:
             row_norms=norms,
             q_a=self.q_a,
             q_norm=self.q_norm,
+            recheck_rel=recheck_rel,
         )
+
+    def pivot_error(self, max_norm: float) -> float:
+        """Rounding allowance of one pivot-filter comparison.
+
+        A filter compares a pivot distance of this query with a stored
+        one of some row, both evaluated with ``recheck_rel =
+        PIVOT_RECHECK_REL``; *max_norm* bounds ``vAv^T`` over the stored
+        rows and pivots.  Returns the sum of the two entries' error bounds.
+        """
+        return gram.distance_error(
+            self.q_norm + max_norm, gram.PIVOT_RECHECK_REL
+        ) + gram.distance_error(2.0 * max_norm, gram.PIVOT_RECHECK_REL)
 
     def one(self, row: np.ndarray, norm: float | None = None) -> float:
         """Distance from the bound query to a single row."""
@@ -116,7 +147,12 @@ class QFDKernel:
         return QFDQueryContext(self, query)
 
     def one_to_many(
-        self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
+        self,
+        q: np.ndarray,
+        rows: np.ndarray,
+        *,
+        row_norms: np.ndarray | None = None,
+        recheck_rel: float = gram.RECHECK_REL,
     ) -> np.ndarray:
         """Distances from *q* to every row.
 
@@ -132,9 +168,16 @@ class QFDKernel:
             return gram.qfd_diff_one_to_many(self.matrix, q, rows)
         if self.block_rows is not None:
             return blocked.blocked_qfd_one_to_many(
-                self.matrix, q, rows, row_norms=row_norms, block_rows=self.block_rows
+                self.matrix,
+                q,
+                rows,
+                row_norms=row_norms,
+                block_rows=self.block_rows,
+                recheck_rel=recheck_rel,
             )
-        return gram.qfd_one_to_many(self.matrix, q, rows, row_norms=row_norms)
+        return gram.qfd_one_to_many(
+            self.matrix, q, rows, row_norms=row_norms, recheck_rel=recheck_rel
+        )
 
     def pairwise(
         self, rows: np.ndarray, *, row_norms: np.ndarray | None = None
@@ -184,12 +227,23 @@ class L2QueryContext:
         self.query = np.asarray(query, dtype=np.float64)
         self.block_rows = block_rows
 
-    def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    def many(
+        self,
+        rows: np.ndarray,
+        norms: np.ndarray | None = None,
+        *,
+        recheck_rel: float = gram.RECHECK_REL,
+    ) -> np.ndarray:
         if self.block_rows is not None:
             return blocked.blocked_l2_one_to_many(
                 self.query, rows, block_rows=self.block_rows
             )
         return gram.l2_one_to_many(self.query, rows)
+
+    def pivot_error(self, max_norm: float) -> float:
+        """Zero: the difference form's error is relative, which the
+        filters' relative slack already covers."""
+        return 0.0
 
     def one(self, row: np.ndarray, norm: float | None = None) -> float:
         return float(np.linalg.norm(np.asarray(row, dtype=np.float64) - self.query))
@@ -212,7 +266,12 @@ class L2Kernel:
         return L2QueryContext(query, block_rows=self.block_rows)
 
     def one_to_many(
-        self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
+        self,
+        q: np.ndarray,
+        rows: np.ndarray,
+        *,
+        row_norms: np.ndarray | None = None,
+        recheck_rel: float = gram.RECHECK_REL,
     ) -> np.ndarray:
         if self.block_rows is not None:
             return blocked.blocked_l2_one_to_many(q, rows, block_rows=self.block_rows)

@@ -33,6 +33,7 @@ from .._typing import ArrayLike, as_vector, as_vector_batch
 from ..distances.base import CountingDistance
 from ..engine.trace import activate_trace, current_trace
 from ..exceptions import EmptyIndexError, IndexStateError, QueryError, StorageError
+from ..kernels.gram import PIVOT_RECHECK_REL, RECHECK_REL
 from ..obs.events import emit_charge
 
 if TYPE_CHECKING:
@@ -124,16 +125,19 @@ def prune_slack(*terms: float) -> float:
     return PRUNE_SLACK_REL * total
 
 
-def pivot_limit(radius: float, reach: float) -> float:
+def pivot_limit(radius: float, reach: float, error: float = 0.0) -> float:
     """Threshold of a pivot-filter test at *radius*.
 
-    Pivot tables compare build-time ``d(o, p)`` with query-time
-    ``d(q, p)``; the Gram kernels agree with themselves only to the last
-    ulps when the two arguments swap roles, so a self-query's pivot
-    bound can come out an ulp above 0.  The slack scales with *reach*,
-    the query's largest pivot distance, and only ever admits a candidate.
+    Pivot filters compare build-time ``d(o, p)`` with query-time
+    ``d(q, p)``, evaluated with query and row in swapped roles, so even a
+    self-query's pivot bound can come out above 0.  Two allowances cover
+    the rounding: a relative one scaled by *reach*, the query's largest
+    pivot distance (difference-form and scalar distances), and *error*,
+    the absolute bound of :attr:`BoundQuery.pivot_error` (Gram-expanded
+    distances).  Slack only ever admits a candidate, so the filter keeps
+    every object whose exact distance is within *radius*.
     """
-    return radius + prune_slack(radius, reach, reach)
+    return radius + prune_slack(radius, reach, reach) + error
 
 
 @dataclass(frozen=True, order=True)
@@ -224,8 +228,16 @@ class DistancePort:
         emit_charge(calls=1)
         return float(self._func(u, v))
 
-    def many(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Distances from *q* to every row of *rows*."""
+    def many(
+        self, q: np.ndarray, rows: np.ndarray, *, pivot: bool = False
+    ) -> np.ndarray:
+        """Distances from *q* to every row of *rows*.
+
+        ``pivot=True`` marks pivot distances that a filter will compare
+        with query-time ones: the kernel then rechecks at
+        :data:`~repro.kernels.gram.PIVOT_RECHECK_REL`, which keeps them
+        within :attr:`BoundQuery.pivot_error`.
+        """
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
         if self._kernel is not None:
@@ -237,7 +249,9 @@ class DistancePort:
             if self._counter is not None:
                 self._counter.add_counts(batch_rows=n)
             norms = self._norms if rows is self._norms_source else None
-            return self._kernel.one_to_many(q, rows, row_norms=norms)
+            return self._kernel.one_to_many(
+                q, rows, row_norms=norms, recheck_rel=_recheck_rel(pivot)
+            )
         if self._one_to_many is not None:
             # The explain event mirrors the CountingDistance exactly:
             # vectorized evaluation counts batch rows, the loop fallback
@@ -396,6 +410,10 @@ class DistancePort:
         return out
 
 
+def _recheck_rel(pivot: bool) -> float:
+    return PIVOT_RECHECK_REL if pivot else RECHECK_REL
+
+
 class BoundQuery:
     """One query bound to a :class:`DistancePort` for repeated evaluation.
 
@@ -439,13 +457,32 @@ class BoundQuery:
         if n:
             self._port.charge(rows=n)
 
+    @property
+    def pivot_error(self) -> float:
+        """Absolute rounding allowance of a pivot-filter comparison.
+
+        Bounds the rounding in ``|d(q, p) - d(o, p)|`` when this query's
+        pivot distances and the stored ones were both evaluated with
+        ``pivot=True`` (see :func:`pivot_limit`).  Zero when no Gram
+        expansion is involved.
+        """
+        if self._ctx is None or self._norms is None or self._norms.size == 0:
+            return 0.0
+        return self._ctx.pivot_error(float(self._norms.max()))
+
     def compute_many(
-        self, rows: np.ndarray, indices: np.ndarray | Sequence[int] | None = None
+        self,
+        rows: np.ndarray,
+        indices: np.ndarray | Sequence[int] | None = None,
+        *,
+        pivot: bool = False,
     ) -> np.ndarray:
         """Physically evaluate query-to-rows distances without charging.
 
         *indices* are the rows' database indices; when every index is valid
         the cached row norms are used (the O(n)-per-candidate hot path).
+        ``pivot=True`` evaluates pivot distances (see
+        :meth:`DistancePort.many`).
         """
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
@@ -455,7 +492,7 @@ class BoundQuery:
                 idx = np.asarray(indices, dtype=np.intp)
                 if idx.size == 0 or idx.min() >= 0:
                     norms = self._norms[idx]
-            return self._ctx.many(rows, norms)
+            return self._ctx.many(rows, norms, recheck_rel=_recheck_rel(pivot))
         vector = self._port._vector_uncounted
         if vector is not None:
             return np.asarray(vector(self._query, rows), dtype=np.float64)
@@ -468,9 +505,10 @@ class BoundQuery:
         indices: np.ndarray | Sequence[int] | None = None,
         *,
         charge: str | None = "rows",
+        pivot: bool = False,
     ) -> np.ndarray:
         """Query-to-rows distances, charged per *charge* category."""
-        out = self.compute_many(rows, indices)
+        out = self.compute_many(rows, indices, pivot=pivot)
         n = int(out.shape[0])
         if n and charge == "rows":
             self._port.charge(rows=n)

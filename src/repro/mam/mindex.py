@@ -93,7 +93,10 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             self._data, n_pivots, self._port, method=pivot_method, rng=rng
         )
         self._pivot_rows = self._data[self._pivot_indices]
-        columns = [self._port.many(self._data[j], self._data) for j in self._pivot_indices]
+        columns = [
+            self._port.many(self._data[j], self._data, pivot=True)
+            for j in self._pivot_indices
+        ]
         self._table = np.column_stack(columns)  # (m, p)
         self._assign_clusters()
 
@@ -182,15 +185,20 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         )
 
     def _candidates(
-        self, query_vector: np.ndarray, radius: float, parent_tok: int = ROOT
+        self,
+        query_vector: np.ndarray,
+        radius: float,
+        error: float,
+        parent_tok: int = ROOT,
     ) -> np.ndarray:
         """Interval-scan + pivot-filter candidates for a range query.
 
         Both tests run at :func:`~repro.mam.base.pivot_limit`, the radius
-        widened by an ulp-scale slack: the keys and the table are
-        build-time distances, the query vector query-time ones.
+        widened by the rounding allowance of comparing build-time keys
+        and table entries with query-time distances (*error* is the bound
+        query's :attr:`~repro.mam.base.BoundQuery.pivot_error`).
         """
-        limit = pivot_limit(radius, float(query_vector.max()))
+        limit = pivot_limit(radius, float(query_vector.max()), error)
         out: list[np.ndarray] = []
         for cluster in range(self.n_pivots):
             keys = self._cluster_keys[cluster]
@@ -235,17 +243,18 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
     def _query_to_pivots(self, bound: BoundQuery) -> np.ndarray:
         """Query-to-pivot distances through the bound query (``p`` rows).
 
-        The table was built by the same Gram kernel with query and row in
-        the other roles, so a query equal to a stored object reproduces
-        its table row only to the last ulps; :meth:`_candidates` widens
-        its interval scan and filter by that slack, which keeps radius-0
-        self-queries exact.
+        The table was built by the same kernel with query and row in the
+        other roles, so a query equal to a stored object reproduces its
+        table row only up to rounding.  Both sides are evaluated as pivot
+        distances, which bounds that rounding by the query's
+        ``pivot_error``; :meth:`_candidates` widens its interval scan and
+        filter by it, which keeps radius-0 self-queries exact.
         """
-        return bound.many(self._pivot_rows, self._pivot_indices)
+        return bound.many(self._pivot_rows, self._pivot_indices, pivot=True)
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
         query_vector = self._query_to_pivots(bound)
-        candidates = self._candidates(query_vector, radius, ROOT)
+        candidates = self._candidates(query_vector, radius, bound.pivot_error, ROOT)
         result: list[Neighbor] = []
         if candidates.size == 0:
             return result
@@ -261,6 +270,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
         query_vector = self._query_to_pivots(bound)
+        error = bound.pivot_error
         # Initial radius guess: the key gap around the query in its nearest
         # cluster — cheap and usually within one growth step of the answer.
         radius = max(float(query_vector.min(initial=1.0)), 1e-12)
@@ -269,7 +279,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             round_tok = ROOT
             if events_enabled():
                 round_tok = emit_node_enter(ROOT, f"round r={radius:.4g}")
-            candidates = self._candidates(query_vector, radius, round_tok)
+            candidates = self._candidates(query_vector, radius, error, round_tok)
             fresh = [int(i) for i in candidates if int(i) not in seen]
             if fresh:
                 record_candidates(len(fresh))

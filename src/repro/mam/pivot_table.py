@@ -164,17 +164,27 @@ class PivotTable(AccessMethod):
         self._pivot_indices = pivot_list
         self._pivot_rows = self._data[pivot_list]
         # The m x p distance matrix ("the pivot table").
-        columns = [self._port.many(self._data[j], self._data) for j in pivot_list]
+        columns = [
+            self._port.many(self._data[j], self._data, pivot=True) for j in pivot_list
+        ]
         self._table = np.column_stack(columns)
         self._bound = bound
-        self._pivot_pair: np.ndarray | None = None
-        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._set_pivot_pairs(None)
         if bound != "triangle":
             # Charged: p (p-1) / 2 batched rows, the logical cost of
             # evaluating each unordered pivot pair once.
-            self._pivot_pair = self._port.pairwise(self._pivot_rows)
-            self._pairs = valid_pivot_pairs(self._pivot_pair)
+            self._set_pivot_pairs(self._port.pairwise(self._pivot_rows))
             self._guard_ptolemaic()
+
+    def _set_pivot_pairs(self, pair: "np.ndarray | None") -> None:
+        """Install the pivot-pair matrix, its usable pairs and their
+        smallest distance (the Ptolemaic error amplification of
+        :meth:`_limit`)."""
+        self._pivot_pair = pair
+        self._pairs = valid_pivot_pairs(pair) if pair is not None else None
+        self._pair_floor = 0.0
+        if self._pairs is not None and self._pairs[0].size:
+            self._pair_floor = float(pair[self._pairs].min())
 
     def _guard_ptolemaic(self) -> None:
         """Build-time guard: refuse Ptolemaic bounds for a metric that
@@ -263,8 +273,7 @@ class PivotTable(AccessMethod):
         self._pivot_rows = self._data[pivot_list]
         self._table = stored.copy()
         self._bound = bound
-        self._pivot_pair = pair.copy() if pair is not None else None
-        self._pairs = valid_pivot_pairs(pair) if pair is not None else None
+        self._set_pivot_pairs(pair.copy() if pair is not None else None)
 
     def _verify_state_probe(self) -> None:
         # Same sampled bound re-evaluation load_pivot_table always did:
@@ -327,7 +336,23 @@ class PivotTable(AccessMethod):
         The ``p`` pivot distances are charged as batched rows.
         """
         bound = self._port.bind_query(query, self._data)
-        return bound, bound.many(self._pivot_rows, self._pivot_indices)
+        return bound, bound.many(self._pivot_rows, self._pivot_indices, pivot=True)
+
+    def _limit(self, radius: float, reach: float, error: float) -> float:
+        """Filter threshold at *radius* for a query whose largest pivot
+        distance is *reach* and whose pivot rounding allowance is *error*.
+
+        A Ptolemaic bound multiplies pivot distances and divides by a
+        pivot-pair distance: for an object within *radius* every factor is
+        at most ``reach + radius``, so the rounding of the entries reaches
+        the bound scaled by up to ``(2 reach + 3 radius) / d_min`` (the
+        last term covers the pair distances' own rounding).
+        """
+        if radius == np.inf:
+            return radius
+        if self._bound != "triangle" and self._pair_floor > 0.0:
+            error *= max(1.0, (2.0 * reach + 3.0 * radius) / self._pair_floor)
+        return pivot_limit(radius, reach, error)
 
     def _triangle_bounds(self, query_vector: np.ndarray) -> np.ndarray:
         """Pivot-mapped L∞ (triangle) lower bound for every object."""
@@ -402,7 +427,7 @@ class PivotTable(AccessMethod):
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         bound, qv = self._bind(query)
         lb = self._lower_bounds(qv)
-        limit = pivot_limit(radius, float(qv.max()))
+        limit = self._limit(radius, float(qv.max()), bound.pivot_error)
         candidates = np.flatnonzero(lb <= limit)
         if events_enabled():
             tok = emit_node_enter(ROOT, "pivot-filter")
@@ -473,6 +498,9 @@ class PivotTable(AccessMethod):
         tok = emit_node_enter(ROOT, "refine")
         label = _BOUND_LABELS[self._bound]
         reach = float(query_vector.max())
+        error = bound.pivot_error
+        radius = heap.radius
+        limit = self._limit(radius, reach, error)
         refined = 0
         start, size = 0, _FIRST_BLOCK
         while start < order.size:
@@ -481,7 +509,9 @@ class PivotTable(AccessMethod):
             size *= 2
             distances = bound.compute_many(self._data[ids], ids)
             for idx, low, dist in zip(ids.tolist(), lb[ids].tolist(), distances.tolist()):
-                limit = pivot_limit(heap.radius, reach)
+                if heap.radius != radius:
+                    radius = heap.radius
+                    limit = self._limit(radius, reach, error)
                 for aux_label, bounds in aux:
                     emit_lb_check(
                         tok, float(bounds[idx]), limit,
@@ -519,7 +549,7 @@ class PivotTable(AccessMethod):
             trace = traces[pos] if traces is not None else None
             start = perf_counter()
             with activate_trace(trace):
-                limit = pivot_limit(radius, float(qvs[pos].max()))
+                limit = self._limit(radius, float(qvs[pos].max()), bound.pivot_error)
                 candidates = np.flatnonzero(lb_matrix[:, pos] <= limit)
                 result = self._refine_range(bound, radius, candidates)
             result.sort()
@@ -600,6 +630,7 @@ class PivotTable(AccessMethod):
             raise QueryError(f"malformed range query: {exc}") from exc
         if radius < 0.0:
             raise QueryError(f"radius must be non-negative, got {radius}")
-        _, qv = self._bind(q)
+        bound, qv = self._bind(q)
         lb = self._lower_bounds(qv)
-        return int(np.count_nonzero(lb <= pivot_limit(radius, float(qv.max()))))
+        limit = self._limit(radius, float(qv.max()), bound.pivot_error)
+        return int(np.count_nonzero(lb <= limit))

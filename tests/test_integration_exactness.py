@@ -241,3 +241,66 @@ class TestFlatSelfQueryExactness:
             )
             top = index.knn_search(q, 1)[0]
             assert top.index == probe and top.distance == 0.0, (method, kwargs, top)
+
+
+NEAR_DUPLICATE_CASES = [
+    pytest.param("pivot-table", {"n_pivots": 12, "bound": bound}, id=f"pivot-table-{bound}")
+    for bound in ("triangle", "ptolemaic", "best")
+] + [pytest.param("mindex", {"n_pivots": 8, "pivot_method": "random"}, id="mindex")]
+
+
+class TestNearDuplicatePivotSelfQuery:
+    """Self-queries of objects that nearly duplicate a pivot, under QFD.
+
+    For ``o = p + delta`` the stored ``d(o, p)`` and the query-time
+    ``d(q, p)`` are tiny next to the vectors' norms, where the Gram
+    expansion's rounding error is largest; the pivot filter must still
+    admit ``o`` for a radius-0 and a k=1 self-query.  Each near-duplicate
+    replaces a non-pivot row, and the pivots are pinned (explicit for the
+    pivot table, seeded random for the M-index) so they stay the same.
+    """
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("method,kwargs", NEAR_DUPLICATE_CASES)
+    def test_near_duplicate_of_pivot_finds_itself(
+        self, method, kwargs, rel, workload
+    ) -> None:
+        model = QFDModel(workload.matrix)
+        pivots = model.build_index(
+            method, workload.database, **kwargs
+        ).access_method.pivot_indices
+        rng = np.random.default_rng(7)
+        db = workload.database.copy()
+        spare = [i for i in range(db.shape[0] - 1, -1, -1) if i not in pivots]
+        targets = []
+        for pivot in pivots:
+            for _ in range(2):
+                delta = rng.standard_normal(db.shape[1])
+                delta *= rel * np.linalg.norm(db[pivot]) / np.linalg.norm(delta)
+                target = spare[len(targets)]
+                db[target] = db[pivot] + delta
+                targets.append(target)
+        if method == "pivot-table":
+            kwargs = dict(kwargs, pivots=pivots)
+        index = model.build_index(method, db, **kwargs)
+        assert index.access_method.pivot_indices == pivots
+        for target in targets:
+            hits = index.range_search(db[target], 0.0)
+            assert any(n.index == target and n.distance == 0.0 for n in hits), (
+                f"{method} rel={rel}: radius-0 self-query missed {target}: {hits}"
+            )
+            top = index.knn_search(db[target], 1)[0]
+            assert top.index == target and top.distance == 0.0, (method, rel, top)
+
+    @pytest.mark.parametrize("method,kwargs", NEAR_DUPLICATE_CASES)
+    def test_self_queries_on_concentrated_data(self, method, kwargs, workload) -> None:
+        """A large common offset keeps every distance but inflates the
+        norms, so all pairs sit where the expansion's absolute error
+        dwarfs a slack relative to the distances themselves."""
+        db = workload.database + 10.0 * np.abs(workload.database).max()
+        index = QFDModel(workload.matrix).build_index(method, db, **kwargs)
+        for probe in range(0, db.shape[0], 7):
+            hits = index.range_search(db[probe], 0.0)
+            assert any(n.index == probe and n.distance == 0.0 for n in hits), (
+                f"{method}: radius-0 self-query missed {probe}: {hits}"
+            )
