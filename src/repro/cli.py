@@ -926,33 +926,21 @@ def _traced_loop(index, queries, collector, *, k: int, radius: float | None) -> 
     (no ``--batch``) so ``--trace``/``--trace-out`` work there too, with
     the same per-query semantics as the engine's serial path.
     """
-    from time import perf_counter
+    from .engine.trace import QueryTrace, run_traced
 
-    from .engine.trace import QueryTrace, TracingPort, activate_trace
+    def search(pos: int) -> list:
+        if radius is not None:
+            return index.range_search(queries[pos], radius)
+        return index.knn_search(queries[pos], k)
 
-    am = index.access_method
-    original_port = am._port
-    am._port = TracingPort(original_port)
-    try:
-        results = []
-        for pos, q in enumerate(queries):
-            if radius is not None:
-                trace = QueryTrace(query_index=pos, kind="range", parameter=float(radius))
-            else:
-                trace = QueryTrace(query_index=pos, kind="knn", parameter=float(k))
-            start = perf_counter()
-            with activate_trace(trace):
-                if radius is not None:
-                    result = index.range_search(q, radius)
-                else:
-                    result = index.knn_search(q, k)
-            trace.seconds = perf_counter() - start
-            trace.results = len(result)
-            collector.add(trace)
-            results.append(result)
-        return results
-    finally:
-        am._port = original_port
+    kind, parameter = ("knn", float(k)) if radius is None else ("range", float(radius))
+    traces = [
+        QueryTrace(query_index=pos, kind=kind, parameter=parameter)
+        for pos in range(len(queries))
+    ]
+    results = run_traced(len(queries), search, traces)
+    collector.extend(traces)
+    return results
 
 
 def _explain_first_query(

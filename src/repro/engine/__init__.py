@@ -5,8 +5,10 @@ evaluations per query (Tables 1-2) and wall time per query (Figures 5-9).
 This package is the substrate for measuring and scaling both:
 
 * :mod:`repro.engine.trace` — per-query :class:`QueryTrace` cost records
-  and the thread-safe :class:`TraceCollector` that aggregates them into
-  the paper's cost model;
+  (written by ``DistancePort.charge`` into the query's active trace, so
+  the index itself is never wrapped or modified) and the thread-safe
+  :class:`TraceCollector` that aggregates them into the paper's cost
+  model;
 * :mod:`repro.engine.executors` — serial / thread-pool / chunked
   process-pool execution backends behind one strategy interface;
 * :mod:`repro.engine.batch` — the :class:`QueryBatch` planner that
@@ -28,7 +30,6 @@ from .trace import (
     QueryTrace,
     TraceCollector,
     TraceSummary,
-    TracingPort,
     activate_trace,
     current_trace,
     record_candidates,
@@ -39,7 +40,6 @@ __all__ = [
     "QueryTrace",
     "TraceCollector",
     "TraceSummary",
-    "TracingPort",
     "activate_trace",
     "current_trace",
     "record_candidates",

@@ -6,16 +6,17 @@ any :class:`~repro.mam.base.AccessMethod` through a pluggable
 :class:`~repro.engine.executors.BatchExecutor`:
 
 * queries are split into contiguous chunks so structures with a
-  vectorized batch hook (sequential file, pivot table) amortize their
-  per-scan work across the whole chunk;
+  vectorized batch hook (the pivot table) amortize their per-scan work
+  across the whole chunk;
 * the serial executor runs the chunks inline, the thread executor fans
   them out (numpy distance kernels release the GIL), and the process
   executor ships pickled chunks to worker processes for pure-Python
   distances;
 * with a :class:`~repro.engine.trace.TraceCollector` attached, every
-  query gets a :class:`~repro.engine.trace.QueryTrace` and the access
-  method's port is wrapped in a :class:`TracingPort` for the duration of
-  the batch.
+  query gets a :class:`~repro.engine.trace.QueryTrace`, active while that
+  query runs; the access method's ``DistancePort.charge`` writes each
+  evaluation into it.  The index is shared read-only, so concurrent
+  traced batches on one index cannot see each other's traces.
 
 Results are, by construction, bit-identical to looping the single-query
 entry points: chunk hooks reuse the exact per-query search code (or a
@@ -56,7 +57,7 @@ from .executors import (
     SerialExecutor,
     resolve_executor,
 )
-from .trace import QueryTrace, TraceCollector, TracingPort
+from .trace import QueryTrace, TraceCollector
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layering acyclic
     from ..mam.base import AccessMethod, Neighbor
@@ -102,9 +103,10 @@ def _run_chunk(
 ) -> tuple[list[list["Neighbor"]], list[QueryTrace] | None, "dict | None"]:
     """Execute one contiguous chunk of the batch (process-pool entry).
 
-    Usually runs in a worker process: *am* is this process's private
-    copy, so wrapping its port for tracing cannot race with anyone.
-    Traces are returned alongside the results and merged by the parent.
+    Usually runs in a worker process on its private copy of *am*; with
+    a single chunk (or one worker) the executor runs it inline on the
+    parent's index.  Traces are returned alongside the results and
+    merged by the parent.
 
     *obs* is the parent's observability payload: the request's
     :class:`TraceContext` (so worker spans carry the batch's trace_id),
@@ -120,13 +122,11 @@ def _run_chunk(
     traces = None
     counter = getattr(am._port, "_counter", None)
     base = counter.stats if counter is not None else None
-    original_port = am._port
     if tracing:
         traces = [
             QueryTrace(query_index=j, kind=kind, parameter=parameter)
             for j in range(start, stop)
         ]
-        am._port = TracingPort(am._port)
     context = None if obs is None else obs.get("context")
     registry = (
         MetricsRegistry() if obs is not None and obs.get("metrics") else None
@@ -138,23 +138,17 @@ def _run_chunk(
             return am._range_search_batch(chunk, parameter, traces=traces)
         return am._knn_search_batch(chunk, int(parameter), traces=traces)
 
-    try:
-        if registry is not None:
-            with activate_trace_context(context) if context is not None else nullcontext():
-                with use_registry(registry):
-                    with span(
-                        f"query/chunk/{kind}",
-                        method="" if obs is None else obs.get("method", ""),
-                        queries=stop - start,
-                    ):
-                        results = execute()
-        else:
-            results = execute()
-    finally:
-        # Restore even though a true worker discards *am*: with a single
-        # chunk (or one worker) the executor runs this inline on the
-        # parent's index, which must not keep the tracing wrapper.
-        am._port = original_port
+    if registry is not None:
+        with activate_trace_context(context) if context is not None else nullcontext():
+            with use_registry(registry):
+                with span(
+                    f"query/chunk/{kind}",
+                    method="" if obs is None else obs.get("method", ""),
+                    queries=stop - start,
+                ):
+                    results = execute()
+    else:
+        results = execute()
     obs_out = None
     if obs is not None:
         delta = (0, 0)
@@ -313,46 +307,41 @@ class QueryBatch:
     ) -> tuple[list[list["Neighbor"]], list[QueryTrace] | None]:
         n = qs.shape[0]
         traces: list[QueryTrace] | None = None
-        original_port = am._port
         if collector is not None:
             traces = [
                 QueryTrace(query_index=j, kind=self.kind, parameter=float(self.parameter))
                 for j in range(n)
             ]
-            am._port = TracingPort(original_port)
-        try:
-            if isinstance(exec_, SerialExecutor):
-                ranges = [(0, n)]
+        if isinstance(exec_, SerialExecutor):
+            ranges = [(0, n)]
+        else:
+            # A few chunks per worker balances load while keeping the
+            # vectorized batch hooks' per-chunk work worthwhile.
+            workers = getattr(exec_, "workers", 1)
+            ranges = _chunk_ranges(n, workers * 4)
+
+        registry = get_registry()
+        method = _method_label(am) if registry.enabled else ""
+
+        def chunk_task(ci: int) -> list[list["Neighbor"]]:
+            a, b = ranges[ci]
+            chunk_traces = traces[a:b] if traces is not None else None
+            if self.kind == "range":
+                out = am._range_search_batch(qs[a:b], parameter, traces=chunk_traces)
             else:
-                # A few chunks per worker balances load while keeping the
-                # vectorized batch hooks' per-chunk work worthwhile.
-                workers = getattr(exec_, "workers", 1)
-                ranges = _chunk_ranges(n, workers * 4)
+                out = am._knn_search_batch(qs[a:b], int(parameter), traces=chunk_traces)
+            if registry.enabled:
+                # Feed the rolling-rate windows as each chunk lands, so
+                # a /metrics scrape mid-batch shows live throughput.
+                evaluations = sum(
+                    t.distance_evaluations for t in chunk_traces or ()
+                )
+                observe_query_progress(
+                    b - a, evaluations, method=method, registry=registry
+                )
+            return out
 
-            registry = get_registry()
-            method = _method_label(am) if registry.enabled else ""
-
-            def chunk_task(ci: int) -> list[list["Neighbor"]]:
-                a, b = ranges[ci]
-                chunk_traces = traces[a:b] if traces is not None else None
-                if self.kind == "range":
-                    out = am._range_search_batch(qs[a:b], parameter, traces=chunk_traces)
-                else:
-                    out = am._knn_search_batch(qs[a:b], int(parameter), traces=chunk_traces)
-                if registry.enabled:
-                    # Feed the rolling-rate windows as each chunk lands, so
-                    # a /metrics scrape mid-batch shows live throughput.
-                    evaluations = sum(
-                        t.distance_evaluations for t in chunk_traces or ()
-                    )
-                    observe_query_progress(
-                        b - a, evaluations, method=method, registry=registry
-                    )
-                return out
-
-            parts = exec_.map_ordered(chunk_task, range(len(ranges)))
-        finally:
-            am._port = original_port
+        parts = exec_.map_ordered(chunk_task, range(len(ranges)))
         results: list[list["Neighbor"]] = []
         for part in parts:
             results.extend(part)

@@ -5,17 +5,18 @@ The paper's cost model (Sections 4.2 and 5) prices every operation in
 already totals them per model.  This module adds the per-query
 granularity the batch engine needs: each executed query gets a
 :class:`QueryTrace` recording its scalar and batched evaluations (both
-observed at the :class:`~repro.mam.base.DistancePort` boundary), its
-lower-bound filter outcome, the number of candidates refined with real
-distances, and its wall time.  A thread-safe :class:`TraceCollector`
-aggregates the records into the same quantities the paper's Tables 1-2
-report.
+written by :meth:`~repro.mam.base.DistancePort.charge`, the one place an
+evaluation is counted), its lower-bound filter outcome, the number of
+candidates refined with real distances, and its wall time.  A
+thread-safe :class:`TraceCollector` aggregates the records into the same
+quantities the paper's Tables 1-2 report.
 
 The active trace is tracked with a :mod:`contextvars` variable, so
 concurrently executing queries (one per worker thread) each record into
-their own trace without locking on the hot path.  Access methods that
-know their filter structure (the pivot table's hyper-cube test, the
-sequential scan's trivial all-candidates "filter") report it through
+their own trace without locking on the hot path, and the shared index is
+never modified to trace it.  Access methods that know their filter
+structure (the pivot table's hyper-cube test, the sequential scan's
+trivial all-candidates "filter") report it through
 :func:`record_filter`; everything else still gets exact evaluation
 counts through the port.
 
@@ -30,15 +31,16 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from time import perf_counter
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "QueryTrace",
     "TraceSummary",
     "TraceCollector",
-    "TracingPort",
     "current_trace",
     "activate_trace",
+    "run_traced",
     "record_filter",
     "record_candidates",
     "record_node_visit",
@@ -268,18 +270,42 @@ def current_trace() -> QueryTrace | None:
 
 @contextmanager
 def activate_trace(trace: QueryTrace | None) -> Iterator[QueryTrace | None]:
-    """Make *trace* the active trace for the duration of the block.
+    """Make *trace* the active trace for the block and add its wall time.
 
     Passing ``None`` is a no-op, so call sites need no branching.
     """
     if trace is None:
         yield None
         return
+    start = perf_counter()
     token = _ACTIVE_TRACE.set(trace)
     try:
         yield trace
     finally:
         _ACTIVE_TRACE.reset(token)
+        trace.seconds += perf_counter() - start
+
+
+def run_traced(
+    n: int, search: Callable[[int], list], traces: "list[QueryTrace] | None"
+) -> list[list]:
+    """Run ``search(pos)`` for positions ``0..n-1``, each under its trace.
+
+    The per-query runner of every batch hook: query *pos* executes with
+    ``traces[pos]`` active (untraced when *traces* is ``None``), its
+    result list is sorted, and the trace records the wall time and the
+    result count.
+    """
+    out: list[list] = []
+    for pos in range(n):
+        trace = traces[pos] if traces is not None else None
+        with activate_trace(trace):
+            result = search(pos)
+            result.sort()
+        if trace is not None:
+            trace.results = len(result)
+        out.append(result)
+    return out
 
 
 def record_filter(checked: int, hits: int) -> None:
@@ -327,64 +353,3 @@ def record_pruned(count: int = 1) -> None:
     trace = _ACTIVE_TRACE.get()
     if trace is not None:
         trace.nodes_pruned += count
-
-
-class TracingPort:
-    """Decorator around a :class:`~repro.mam.base.DistancePort`.
-
-    Forwards every evaluation to the wrapped port (so model-level
-    :class:`CountingDistance` counters keep counting) and charges it to
-    the thread's active :class:`QueryTrace` — scalar pairs and batched
-    rows separately, matching the split of
-    :class:`~repro.distances.base.DistanceStats`.  Filter outcomes and
-    refined-candidate counts are reported by the access methods through
-    :func:`record_filter` / :func:`record_candidates`.
-
-    Duck-typed rather than subclassing ``DistancePort`` to keep this
-    module free of :mod:`repro.mam` imports.
-    """
-
-    def __init__(self, inner) -> None:  # noqa: ANN001 - duck-typed DistancePort
-        self._inner = inner
-
-    def pair(self, u, v) -> float:  # noqa: ANN001
-        trace = _ACTIVE_TRACE.get()
-        if trace is not None:
-            trace.scalar_evaluations += 1
-        return self._inner.pair(u, v)
-
-    def many(self, q, rows, *, pivot: bool = False):  # noqa: ANN001
-        out = self._inner.many(q, rows, pivot=pivot)
-        trace = _ACTIVE_TRACE.get()
-        if trace is not None:
-            trace.batched_evaluations += int(out.shape[0])
-        return out
-
-    def bind_query(self, query, data=None):  # noqa: ANN001
-        """Bound queries charge the active trace themselves — just forward."""
-        return self._inner.bind_query(query, data)
-
-    def charge(self, *, calls: int = 0, rows: int = 0) -> None:
-        return self._inner.charge(calls=calls, rows=rows)
-
-    def pairwise(self, rows, *, charge: bool = True):  # noqa: ANN001
-        return self._inner.pairwise(rows, charge=charge)
-
-    def cross(self, rows_a, rows_b, *, charge: bool = True):  # noqa: ANN001
-        return self._inner.cross(rows_a, rows_b, charge=charge)
-
-    def attach_database(self, data, *, extends=None) -> None:  # noqa: ANN001
-        self._inner.attach_database(data, extends=extends)
-
-    @property
-    def kernel(self):  # noqa: ANN001
-        return self._inner.kernel
-
-    @property
-    def raw(self):  # noqa: ANN001
-        return self._inner.raw
-
-    @property
-    def inner(self):  # noqa: ANN001
-        """The wrapped port (used to unwrap after a traced batch)."""
-        return self._inner

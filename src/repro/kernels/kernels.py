@@ -110,6 +110,18 @@ class QFDQueryContext:
             self.q_norm + max_norm, gram.PIVOT_RECHECK_REL
         ) + gram.distance_error(2.0 * max_norm, gram.PIVOT_RECHECK_REL)
 
+    def prune_error(self, max_norm: float) -> float:
+        """Rounding allowance of one tree prune test.
+
+        A prune test compares this query's distance to a stored row with
+        a stored distance between rows, both possibly Gram-expanded at the
+        default recheck threshold; *max_norm* bounds ``vAv^T`` over the
+        rows.  Returns the sum of the two distances' error bounds.
+        """
+        return gram.distance_error(self.q_norm + max_norm) + gram.distance_error(
+            2.0 * max_norm
+        )
+
     def one(self, row: np.ndarray, norm: float | None = None) -> float:
         """Distance from the bound query to a single row."""
         row = np.asarray(row, dtype=np.float64)
@@ -243,6 +255,10 @@ class L2QueryContext:
     def pivot_error(self, max_norm: float) -> float:
         """Zero: the difference form's error is relative, which the
         filters' relative slack already covers."""
+        return 0.0
+
+    def prune_error(self, max_norm: float) -> float:
+        """Zero, as :meth:`pivot_error`."""
         return 0.0
 
     def one(self, row: np.ndarray, norm: float | None = None) -> float:

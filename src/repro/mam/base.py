@@ -24,14 +24,13 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .._typing import ArrayLike, as_vector, as_vector_batch
 from ..distances.base import CountingDistance
-from ..engine.trace import activate_trace, current_trace
+from ..engine.trace import current_trace, run_traced
 from ..exceptions import EmptyIndexError, IndexStateError, QueryError, StorageError
 from ..kernels.gram import PIVOT_RECHECK_REL, RECHECK_REL
 from ..obs.events import emit_charge
@@ -197,17 +196,17 @@ class DistancePort:
         block_rows: int | None = None,
     ) -> None:
         self._func = func
-        bound = getattr(func, "one_to_many", None)
-        self._one_to_many = bound if callable(bound) else one_to_many
         counter = func if isinstance(func, CountingDistance) else None
         self._counter = counter
-        # Uncounted forms: the kernel layer computes distances physically
-        # in batches and charges the counter by the *logical* access
-        # pattern, so it must never go through the counting wrappers.
+        # Uncounted forms: every evaluation is computed through these and
+        # charged by the *logical* access pattern in :meth:`charge`, so it
+        # must never go through the counting wrappers.
         self._scalar_uncounted = counter.func if counter is not None else func
-        self._vector_uncounted = (
-            counter.vectorized if counter is not None else self._one_to_many
-        )
+        if counter is not None:
+            self._vector_uncounted = counter.vectorized
+        else:
+            bound = getattr(func, "one_to_many", None)
+            self._vector_uncounted = bound if callable(bound) else one_to_many
         self._block_rows = block_rows
         if use_kernel:
             from ..kernels.kernels import resolve_kernel  # kernels sit below mam
@@ -222,11 +221,14 @@ class DistancePort:
             )
         self._norms: np.ndarray | None = None
         self._norms_source: np.ndarray | None = None
+        # max(vAv^T) over the cached norms: the row side of the per-query
+        # rounding allowances (BoundQuery.pivot_error and .slack).
+        self._norms_max = 0.0
 
     def pair(self, u: np.ndarray, v: np.ndarray) -> float:
-        """One distance evaluation."""
-        emit_charge(calls=1)
-        return float(self._func(u, v))
+        """One distance evaluation, charged as a scalar call."""
+        self.charge(calls=1)
+        return float(self._scalar_uncounted(u, v))
 
     def many(
         self, q: np.ndarray, rows: np.ndarray, *, pivot: bool = False
@@ -238,28 +240,30 @@ class DistancePort:
         :data:`~repro.kernels.gram.PIVOT_RECHECK_REL`, which keeps them
         within :attr:`BoundQuery.pivot_error`.
         """
-        if rows.shape[0] == 0:
+        n = int(rows.shape[0])
+        if n == 0:
             return np.empty(0, dtype=np.float64)
         if self._kernel is not None:
             # The kernel route, with the cached database norms when *rows*
             # is the attached store (a build-time pivot column, a scan).
-            # Charged like the counted one-to-many: one batched row each.
-            n = int(rows.shape[0])
-            emit_charge(rows=n)
-            if self._counter is not None:
-                self._counter.add_counts(batch_rows=n)
+            self.charge(rows=n)
             norms = self._norms if rows is self._norms_source else None
             return self._kernel.one_to_many(
                 q, rows, row_norms=norms, recheck_rel=_recheck_rel(pivot)
             )
-        if self._one_to_many is not None:
-            # The explain event mirrors the CountingDistance exactly:
-            # vectorized evaluation counts batch rows, the loop fallback
-            # counts scalar calls.
-            emit_charge(rows=int(rows.shape[0]))
-            return np.asarray(self._one_to_many(q, rows), dtype=np.float64)
-        emit_charge(calls=int(rows.shape[0]))
-        return np.array([self._func(q, row) for row in rows], dtype=np.float64)
+        # One batched row each, as CountingDistance.one_to_many counts
+        # (its loop fallback included); only a plain scalar function with
+        # no counter is charged scalar calls.
+        vector = self._vector_uncounted
+        if vector is not None or self._counter is not None:
+            self.charge(rows=n)
+        else:
+            self.charge(calls=n)
+        if vector is not None:
+            return np.asarray(vector(q, rows), dtype=np.float64)
+        return np.array(
+            [self._scalar_uncounted(q, row) for row in rows], dtype=np.float64
+        )
 
     def pair_uncounted(self, u: np.ndarray, v: np.ndarray) -> float:
         """One distance evaluation outside the counting paths.
@@ -288,11 +292,13 @@ class DistancePort:
         return self._block_rows
 
     def charge(self, *, calls: int = 0, rows: int = 0) -> None:
-        """Charge logical evaluations computed outside the counted paths.
+        """Charge logical evaluations: the one place an evaluation is counted.
 
-        Forwards to the wrapped :class:`CountingDistance` (if any) and the
-        thread's active :class:`~repro.engine.trace.QueryTrace`, keeping
-        the scalar/batched split intact.
+        Writes to the wrapped :class:`CountingDistance` (if any), the
+        thread's active :class:`~repro.engine.trace.QueryTrace` and the
+        active EXPLAIN event buffer, keeping the scalar/batched split
+        intact.  :meth:`pair`, :meth:`many` and every :class:`BoundQuery`
+        evaluation compute through the uncounted forms and charge here.
         """
         if self._counter is not None and (calls or rows):
             self._counter.add_counts(calls=calls, batch_rows=rows)
@@ -321,6 +327,8 @@ class DistancePort:
             norms.setflags(write=False)
             self._norms = norms
             self._norms_source = data
+            if tail.size:
+                self._norms_max = max(self._norms_max, float(tail.max()))
             return
         self._norms_for(data)
 
@@ -338,6 +346,7 @@ class DistancePort:
             norms.setflags(write=False)
             self._norms = norms
             self._norms_source = data
+            self._norms_max = float(norms.max()) if norms.size else 0.0
         return self._norms
 
     def bind_query(self, query: np.ndarray, data: np.ndarray | None = None) -> "BoundQuery":
@@ -349,7 +358,7 @@ class DistancePort:
         """
         norms = self._norms_for(data) if data is not None else None
         ctx = self._kernel.bind(query) if self._kernel is not None else None
-        return BoundQuery(self, query, ctx, norms)
+        return BoundQuery(self, query, ctx, norms, self._norms_max)
 
     def pairwise(self, rows: np.ndarray, *, charge: bool = True) -> np.ndarray:
         """Symmetric distance matrix over *rows* (zero diagonal).
@@ -428,7 +437,7 @@ class BoundQuery:
     under the kernel rewrite.
     """
 
-    __slots__ = ("_port", "_query", "_ctx", "_norms")
+    __slots__ = ("_port", "_query", "_ctx", "_norms", "_norms_max", "_prune_error")
 
     def __init__(
         self,
@@ -436,11 +445,19 @@ class BoundQuery:
         query: np.ndarray,
         ctx,
         norms: np.ndarray | None,
+        norms_max: float = 0.0,
     ) -> None:
         self._port = port
         self._query = query
         self._ctx = ctx
         self._norms = norms
+        self._norms_max = norms_max
+        # Once per query: the absolute allowance every prune test adds.
+        self._prune_error = (
+            ctx.prune_error(norms_max)
+            if ctx is not None and norms is not None and norms.size
+            else 0.0
+        )
 
     @property
     def query(self) -> np.ndarray:
@@ -468,7 +485,23 @@ class BoundQuery:
         """
         if self._ctx is None or self._norms is None or self._norms.size == 0:
             return 0.0
-        return self._ctx.pivot_error(float(self._norms.max()))
+        return self._ctx.pivot_error(self._norms_max)
+
+    def slack(self, a: float, b: float) -> float:
+        """Tolerance of a tree prune test on this query's distances.
+
+        Tree MAMs compare the query's distance to a routing object (an
+        M-tree routing entry, a vantage point, a GNAT split, a SAT node)
+        with a stored bound.  The first term equals ``prune_slack(a, b)``,
+        the relative rounding of the two sides (scalars or arrays).  A
+        Gram-expanded distance's error is absolute instead, bounded by
+        ``gram.distance_error`` of the query norm plus the largest cached
+        row norm, for the query's distance and for a stored one (covering
+        radii and parent distances of node splits come from the Gram
+        pairwise form).  That term is computed once per query and is zero
+        without a Gram expansion (the L2 context).
+        """
+        return PRUNE_SLACK_REL * (abs(a) + abs(b)) + self._prune_error
 
     def compute_many(
         self,
@@ -691,20 +724,13 @@ class AccessMethod(ABC):
 
         The default runs the single-query search per row under that
         query's trace; subclasses with genuinely vectorizable batch
-        plans (sequential file, pivot table) override it.
+        plans (the pivot table) override it.
         """
-        out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._range_search(queries[pos], radius)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        return run_traced(
+            queries.shape[0],
+            lambda pos: self._range_search(queries[pos], radius),
+            traces,
+        )
 
     def _knn_search_batch(
         self,
@@ -713,18 +739,9 @@ class AccessMethod(ABC):
         traces: "list[QueryTrace] | None" = None,
     ) -> list[list[Neighbor]]:
         """Chunk hook for kNN batches (*k* already clamped); see above."""
-        out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._knn_search(queries[pos], k)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        return run_traced(
+            queries.shape[0], lambda pos: self._knn_search(queries[pos], k), traces
+        )
 
     # ------------------------------------------------------------------
     # structural snapshots (persistence protocol)
@@ -875,9 +892,10 @@ class NodeBatchedSearchMixin:
 
     Subclasses implement ``_range_impl(bound, radius)`` and
     ``_knn_impl(bound, k)`` over a bound query; this mixin supplies the
-    single-query hooks and *real* chunk hooks for the batch engine: every
-    query of a chunk is bound up front, so the per-database row-norm cache
-    is synchronized once and each query pays only its own ``qA`` setup.
+    single-query hooks, which bind the query just before its search.  The
+    batch engine runs them through the :class:`AccessMethod` chunk hooks:
+    the row norms are cached at attach/insert time, so binding per query
+    costs only that query's ``qA`` setup.
     """
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
@@ -893,52 +911,6 @@ class NodeBatchedSearchMixin:
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
         raise NotImplementedError
-
-    def _range_search_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        traces: "list[QueryTrace] | None" = None,
-    ) -> list[list[Neighbor]]:
-        bounds = [
-            self._port.bind_query(queries[pos], self._data)
-            for pos in range(queries.shape[0])
-        ]
-        out: list[list[Neighbor]] = []
-        for pos, bound in enumerate(bounds):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._range_impl(bound, radius)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
-
-    def _knn_search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        traces: "list[QueryTrace] | None" = None,
-    ) -> list[list[Neighbor]]:
-        bounds = [
-            self._port.bind_query(queries[pos], self._data)
-            for pos in range(queries.shape[0])
-        ]
-        out: list[list[Neighbor]] = []
-        for pos, bound in enumerate(bounds):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._knn_impl(bound, k)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
 
 
 class _KnnHeap:

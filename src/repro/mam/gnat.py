@@ -31,7 +31,6 @@ from ..obs.events import (
 )
 from ..exceptions import QueryError, StorageError
 from .base import (
-    PRUNE_SLACK_REL,
     AccessMethod,
     BoundQuery,
     DistancePort,
@@ -352,11 +351,11 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
                 lows = node.ranges[i, :, 0]  # type: ignore[index]
                 highs = node.ranges[i, :, 1]  # type: ignore[index]
                 # Ranges are member min/max distances — exactly tight — so
-                # the intersection test gets an ulp-scale slack.  Empty
+                # the intersection test gets the query's slack.  Empty
                 # groups carry (inf, -inf); keep their slack finite so the
                 # comparisons stay inf-arithmetic, not nan.
                 span = np.where(np.isfinite(highs), np.abs(lows) + np.abs(highs), 0.0)
-                slack = PRUNE_SLACK_REL * (abs(d) + span)
+                slack = bound.slack(d, span)
                 alive &= (d - radius <= highs + slack) & (d + radius >= lows - slack)
             survivors = np.flatnonzero(alive)
             if tok >= 0:
@@ -370,7 +369,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
                     span = np.where(
                         np.isfinite(highs), np.abs(lows) + np.abs(highs), 0.0
                     )
-                    slack = PRUNE_SLACK_REL * (abs(d) + span)
+                    slack = bound.slack(d, span)
                     lower = np.maximum(lower, np.maximum(lows - d, d - highs) - slack)
                 for j in range(len(node.children)):
                     emit_lb_check(
@@ -419,7 +418,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
                 lows = node.ranges[i, :, 0]  # type: ignore[index]
                 highs = node.ranges[i, :, 1]  # type: ignore[index]
                 span = np.where(np.isfinite(highs), np.abs(lows) + np.abs(highs), 0.0)
-                slack = PRUNE_SLACK_REL * (abs(d) + span)
+                slack = bound.slack(d, span)
                 lower = np.maximum(lower, np.maximum(lows - d, d - highs) - slack)
             tau = heap.radius
             for j in range(arity):

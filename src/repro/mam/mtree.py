@@ -53,7 +53,6 @@ from .base import (
     Neighbor,
     NodeBatchedSearchMixin,
     _KnnHeap,
-    prune_slack,
     state_array,
     state_float,
     state_int,
@@ -702,7 +701,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         # surviving slice is evaluated with one batched call — charged as
         # one logical scalar call per entry, like the loop it replaces.
         # Stored bounds (dist_to_parent, covering radii) are often exactly
-        # tight, so prune tests against them get an ulp-scale slack.
+        # tight, so prune tests against them get the query's slack.
         record_node_visit()
         tok = emit_node_enter(parent_tok, "leaf" if node.is_leaf else "internal")
         if d_query_parent is None:
@@ -712,7 +711,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                 e
                 for e in node.entries
                 if abs(d_query_parent - e.dist_to_parent)
-                - prune_slack(d_query_parent, e.dist_to_parent)
+                - bound.slack(d_query_parent, e.dist_to_parent)
                 <= radius + e.radius
             ]
             if tok >= 0:
@@ -720,7 +719,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                 # exact two sides of each pruning comparison, computing
                 # nothing the filter did not.
                 for e in node.entries:
-                    lhs = abs(d_query_parent - e.dist_to_parent) - prune_slack(
+                    lhs = abs(d_query_parent - e.dist_to_parent) - bound.slack(
                         d_query_parent, e.dist_to_parent
                     )
                     rhs = radius + e.radius
@@ -741,10 +740,10 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                 if dist <= radius:
                     out.append(Neighbor(dist, entry.index))
                     emit_result_add(tok, entry.index, dist)
-            elif dist - prune_slack(dist, entry.radius) <= radius + entry.radius:
+            elif dist - bound.slack(dist, entry.radius) <= radius + entry.radius:
                 emit_lb_check(
                     tok,
-                    dist - prune_slack(dist, entry.radius),
+                    dist - bound.slack(dist, entry.radius),
                     radius + entry.radius,
                     pruned=False,
                     label="covering-radius",
@@ -754,7 +753,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                 record_pruned()
                 emit_lb_check(
                     tok,
-                    dist - prune_slack(dist, entry.radius),
+                    dist - bound.slack(dist, entry.radius),
                     radius + entry.radius,
                     pruned=True,
                     label="covering-radius",
@@ -791,7 +790,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                         lower = (
                             abs(d_query_parent - entry.dist_to_parent)
                             - entry.radius
-                            - prune_slack(d_query_parent, entry.dist_to_parent)
+                            - bound.slack(d_query_parent, entry.dist_to_parent)
                         )
                         if lower > heap.radius / relax:
                             emit_lb_check(
@@ -819,7 +818,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                         for e in node.entries
                         if abs(d_query_parent - e.dist_to_parent)
                         - e.radius
-                        - prune_slack(d_query_parent, e.dist_to_parent)
+                        - bound.slack(d_query_parent, e.dist_to_parent)
                         <= cutoff
                     ]
                     if tok >= 0:
@@ -827,7 +826,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                             lhs = (
                                 abs(d_query_parent - e.dist_to_parent)
                                 - e.radius
-                                - prune_slack(d_query_parent, e.dist_to_parent)
+                                - bound.slack(d_query_parent, e.dist_to_parent)
                             )
                             emit_lb_check(
                                 tok, lhs, cutoff,
@@ -843,7 +842,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                 for pos, entry in enumerate(alive):
                     dist = float(dists[pos])
                     child_dmin = max(
-                        dist - entry.radius - prune_slack(dist, entry.radius), 0.0
+                        dist - entry.radius - bound.slack(dist, entry.radius), 0.0
                     )
                     if child_dmin <= cutoff:
                         emit_lb_check(
@@ -888,16 +887,16 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         def push_entries(node: _Node, d_query_routing: float | None) -> None:
             for entry in node.entries:
                 if d_query_routing is None:
-                    bound = 0.0
+                    low = 0.0
                 else:
-                    bound = max(
+                    low = max(
                         abs(d_query_routing - entry.dist_to_parent)
                         - entry.radius
-                        - prune_slack(d_query_routing, entry.dist_to_parent),
+                        - bound.slack(d_query_routing, entry.dist_to_parent),
                         0.0,
                     )
                 heapq.heappush(
-                    queue, (bound, next(counter), "entry", (entry, node.is_leaf), None)
+                    queue, (low, next(counter), "entry", (entry, node.is_leaf), None)
                 )
 
         push_entries(self._root, None)
@@ -914,7 +913,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
                     )
                 else:
                     dmin = max(
-                        float(dist) - entry.radius - prune_slack(dist, entry.radius),
+                        float(dist) - entry.radius - bound.slack(dist, entry.radius),
                         0.0,
                     )
                     heapq.heappush(

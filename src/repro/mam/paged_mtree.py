@@ -47,14 +47,12 @@ from ..exceptions import PageError, StorageError
 from ..storage.cache import LRUPageCache
 from ..storage.pages import PagedFile
 from .base import (
-    PRUNE_SLACK_REL,
     AccessMethod,
     BoundQuery,
     DistancePort,
     Neighbor,
     NodeBatchedSearchMixin,
     _KnnHeap,
-    prune_slack,
     state_array,
     state_int,
 )
@@ -460,11 +458,9 @@ class PagedMTree(NodeBatchedSearchMixin, AccessMethod):
             if d_query_parent is None:
                 alive = list(range(n))
             else:
-                # Stored bounds are often exactly tight — same ulp-scale
-                # pruning slack as MTree (vectorized over the page).
-                slack = PRUNE_SLACK_REL * (
-                    abs(d_query_parent) + np.abs(node.dist_to_parent)
-                )
+                # Stored bounds are often exactly tight — same pruning
+                # slack as MTree (vectorized over the page).
+                slack = bound.slack(d_query_parent, node.dist_to_parent)
                 lower = np.abs(d_query_parent - node.dist_to_parent) - node.radii - slack
                 alive = [pos for pos in range(n) if lower[pos] <= radius]
                 if tok >= 0:
@@ -489,12 +485,12 @@ class PagedMTree(NodeBatchedSearchMixin, AccessMethod):
                         out.append(Neighbor(dist, node.indices[pos]))
                         emit_result_add(tok, node.indices[pos], dist)
                 elif (
-                    dist - prune_slack(dist, node.radii[pos])
+                    dist - bound.slack(dist, node.radii[pos])
                     <= radius + node.radii[pos]
                 ):
                     emit_lb_check(
                         tok,
-                        dist - prune_slack(dist, node.radii[pos]),
+                        dist - bound.slack(dist, node.radii[pos]),
                         radius + node.radii[pos],
                         pruned=False, label="covering-radius",
                     )
@@ -503,7 +499,7 @@ class PagedMTree(NodeBatchedSearchMixin, AccessMethod):
                     record_pruned()
                     emit_lb_check(
                         tok,
-                        dist - prune_slack(dist, node.radii[pos]),
+                        dist - bound.slack(dist, node.radii[pos]),
                         radius + node.radii[pos],
                         pruned=True, label="covering-radius",
                     )
@@ -536,7 +532,7 @@ class PagedMTree(NodeBatchedSearchMixin, AccessMethod):
                         lower = (
                             abs(d_query_parent - node.dist_to_parent[pos])
                             - node.radii[pos]
-                            - prune_slack(d_query_parent, node.dist_to_parent[pos])
+                            - bound.slack(d_query_parent, node.dist_to_parent[pos])
                         )
                         if lower > heap.radius:
                             emit_lb_check(
@@ -558,9 +554,7 @@ class PagedMTree(NodeBatchedSearchMixin, AccessMethod):
                 if d_query_parent is None:
                     alive = list(range(n))
                 else:
-                    slack = PRUNE_SLACK_REL * (
-                        abs(d_query_parent) + np.abs(node.dist_to_parent)
-                    )
+                    slack = bound.slack(d_query_parent, node.dist_to_parent)
                     lower = (
                         np.abs(d_query_parent - node.dist_to_parent)
                         - node.radii
@@ -586,7 +580,7 @@ class PagedMTree(NodeBatchedSearchMixin, AccessMethod):
                 for d, pos in zip(dists, alive):
                     dist = float(d)
                     child_dmin = max(
-                        dist - node.radii[pos] - prune_slack(dist, node.radii[pos]),
+                        dist - node.radii[pos] - bound.slack(dist, node.radii[pos]),
                         0.0,
                     )
                     if child_dmin <= cutoff:

@@ -38,7 +38,12 @@ import numpy as np
 
 from .._typing import ArrayLike, as_vector
 from ..distances.metric_checks import check_ptolemy_matrix
-from ..engine.trace import activate_trace, record_candidates, record_filter
+from ..engine.trace import (
+    activate_trace,
+    record_candidates,
+    record_filter,
+    run_traced,
+)
 from ..exceptions import DimensionMismatchError, QueryError, StorageError
 from ..kernels.ptolemaic import (
     ptolemaic_bound_matrix,
@@ -543,21 +548,15 @@ class PivotTable(AccessMethod):
         the table scan that serves the triangle-inequality filter runs
         once for the whole chunk instead of once per query.
         """
-        bounds, qvs, lb_matrix, shared = self._batch_lower_bounds(queries, traces)
-        out: list[list[Neighbor]] = []
-        for pos, bound in enumerate(bounds):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                limit = self._limit(radius, float(qvs[pos].max()), bound.pivot_error)
-                candidates = np.flatnonzero(lb_matrix[:, pos] <= limit)
-                result = self._refine_range(bound, radius, candidates)
-            result.sort()
-            if trace is not None:
-                trace.seconds += shared + perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        bounds, qvs, lb_matrix = self._batch_lower_bounds(queries, traces)
+
+        def search(pos: int) -> list[Neighbor]:
+            bound = bounds[pos]
+            limit = self._limit(radius, float(qvs[pos].max()), bound.pivot_error)
+            candidates = np.flatnonzero(lb_matrix[:, pos] <= limit)
+            return self._refine_range(bound, radius, candidates)
+
+        return run_traced(len(bounds), search, traces)
 
     def _knn_search_batch(
         self,
@@ -566,43 +565,34 @@ class PivotTable(AccessMethod):
         traces: "list[QueryTrace] | None" = None,
     ) -> list[list[Neighbor]]:
         """Vectorized batch plan for kNN; see :meth:`_range_search_batch`."""
-        bounds, qvs, lb_matrix, shared = self._batch_lower_bounds(queries, traces)
-        out: list[list[Neighbor]] = []
-        for pos, bound in enumerate(bounds):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._refine_knn(bound, k, lb_matrix[:, pos], qvs[pos])
-            result.sort()
-            if trace is not None:
-                trace.seconds += shared + perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        bounds, qvs, lb_matrix = self._batch_lower_bounds(queries, traces)
+        return run_traced(
+            len(bounds),
+            lambda pos: self._refine_knn(bounds[pos], k, lb_matrix[:, pos], qvs[pos]),
+            traces,
+        )
 
     def _batch_lower_bounds(
         self, queries: np.ndarray, traces: "list[QueryTrace] | None"
-    ) -> tuple[list[BoundQuery], np.ndarray, np.ndarray, float]:
+    ) -> tuple[list[BoundQuery], np.ndarray, np.ndarray]:
         """Bound queries, their pivot distances and the ``m x s`` bounds.
 
-        Returns the bound queries, the stacked query vectors, the matrix
-        and the per-query share of the matrix's wall time (the scan is
-        joint work, amortized evenly over the chunk in the traces).
+        Each query is bound under its own trace; the matrix scan is joint
+        work, so its wall time is amortized evenly over the chunk's traces.
         """
         bounds: list[BoundQuery] = []
         qvs = np.empty((queries.shape[0], self.n_pivots), dtype=np.float64)
         for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
+            with activate_trace(traces[pos] if traces is not None else None):
                 bound, qvs[pos] = self._bind(queries[pos])
             bounds.append(bound)
-            if trace is not None:
-                trace.seconds += perf_counter() - start
         start = perf_counter()
         lb_matrix = self._lower_bound_matrix(qvs)
-        shared = (perf_counter() - start) / max(1, queries.shape[0])
-        return bounds, qvs, lb_matrix, shared
+        if traces is not None:
+            shared = (perf_counter() - start) / max(1, queries.shape[0])
+            for trace in traces:
+                trace.seconds += shared
+        return bounds, qvs, lb_matrix
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Compute the new object's pivot distances and grow the table.

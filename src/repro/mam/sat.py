@@ -42,7 +42,6 @@ from .base import (
     Neighbor,
     NodeBatchedSearchMixin,
     _KnnHeap,
-    prune_slack,
     state_array,
     state_int,
 )
@@ -101,21 +100,25 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
 
         neighbors: list[int] = []  # positions into `members`
         neighbor_dist: list[np.ndarray] = []  # d(neighbor, all members)
-        assigned: dict[int, list[int]] = {}
+        others: list[int] = []
         for pos in order:
             d_to_center = d_center[pos]
-            best_neighbor, best_dist = -1, d_to_center
-            for n_pos, n_dists in zip(neighbors, neighbor_dist):
-                if n_dists[pos] < best_dist:
-                    best_neighbor, best_dist = n_pos, n_dists[pos]
-            if best_neighbor == -1:
+            if all(n_dists[pos] >= d_to_center for n_dists in neighbor_dist):
                 # Closer to the center than to every existing neighbor:
                 # promote to a new neighbor.
                 neighbors.append(int(pos))
                 neighbor_dist.append(self._port.many(rows[pos], rows))
-                assigned[int(pos)] = []
             else:
-                assigned[best_neighbor].append(int(pos))
+                others.append(int(pos))
+        # Assign against the final neighbor set, not the one current when
+        # the object was scanned: a later neighbor may be closer, and the
+        # hyperplane pruning needs every object closer to its neighbor than
+        # to any other member of {a} ∪ N(a).
+        assigned: dict[int, list[int]] = {n_pos: [] for n_pos in neighbors}
+        if others:
+            closest = np.argmin(np.stack(neighbor_dist)[:, others], axis=0)
+            for pos, which in zip(others, closest):
+                assigned[neighbors[int(which)]].append(pos)
         for n_pos in neighbors:
             child_members = [members[p] for p in assigned[n_pos]]
             node.children.append(self._build(members[n_pos], child_members))
@@ -236,12 +239,12 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
             closest = min(float(d_children.min(initial=np.inf)), d_node)
             for child, d_child in zip(node.children, d_children):
                 # Covering radii are exactly tight (some member's build
-                # distance), so the prune test gets an ulp-scale slack.
-                if d_child - prune_slack(d_child, child.radius) > child.radius + radius:
+                # distance), so the prune test gets the query's slack.
+                if d_child - bound.slack(d_child, child.radius) > child.radius + radius:
                     record_pruned()
                     emit_lb_check(
                         tok,
-                        d_child - prune_slack(d_child, child.radius),
+                        d_child - bound.slack(d_child, child.radius),
                         child.radius + radius,
                         pruned=True, label="covering-radius",
                     )
@@ -249,7 +252,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
                     continue  # covering-radius pruning
                 emit_lb_check(
                     tok,
-                    d_child - prune_slack(d_child, child.radius),
+                    d_child - bound.slack(d_child, child.radius),
                     child.radius + radius,
                     pruned=False, label="covering-radius",
                 )
@@ -275,7 +278,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
         counter = itertools.count()
         d_root = bound.one(self._data[self._root.index], self._root.index)
         root_dmin = max(
-            d_root - self._root.radius - prune_slack(d_root, self._root.radius), 0.0
+            d_root - self._root.radius - bound.slack(d_root, self._root.radius), 0.0
         )
         queue: list[tuple[float, int, _SatNode, float, int]] = [
             (root_dmin, next(counter), self._root, d_root, ROOT)
@@ -298,7 +301,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
                 lower = max(
                     float(d_child)
                     - child.radius
-                    - prune_slack(d_child, child.radius),
+                    - bound.slack(d_child, child.radius),
                     0.0,
                 )
                 if self._hyperplane_ok:

@@ -15,13 +15,12 @@ Two variants are provided:
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .._typing import ArrayLike
-from ..engine.trace import activate_trace, record_candidates
+from ..engine.trace import record_candidates
 from ..obs.events import (
     ROOT,
     emit_candidate_verify,
@@ -40,9 +39,6 @@ from .base import (
     state_int,
     state_str,
 )
-
-if TYPE_CHECKING:
-    from ..engine.trace import QueryTrace
 
 __all__ = ["SequentialFile", "DiskSequentialFile"]
 
@@ -79,38 +75,6 @@ class SequentialFile(AccessMethod):
         # argpartition gets the k smallest; explicit sort fixes tie order.
         order = np.argpartition(distances, k - 1)[:k]
         return neighbors_from_distances(distances[order], order)
-
-    def _range_search_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        traces: "list[QueryTrace] | None" = None,
-    ) -> list[list[Neighbor]]:
-        """Batch scan: per-query one-to-many distances (bit-identical to
-        the single-query path), with the threshold mask applied to the
-        whole ``s x m`` distance matrix at once."""
-        s = queries.shape[0]
-        matrix = np.empty((s, self.size), dtype=np.float64)
-        for pos in range(s):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                matrix[pos] = self._port.many(queries[pos], self._data)
-                record_candidates(self.size)
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-        within = matrix <= radius
-        out: list[list[Neighbor]] = []
-        for pos in range(s):
-            start = perf_counter()
-            hits = np.flatnonzero(within[pos])
-            result = neighbors_from_distances(matrix[pos, hits], hits)
-            out.append(result)
-            trace = traces[pos] if traces is not None else None
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-        return out
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Appending the row is the entire build — nothing else to update."""

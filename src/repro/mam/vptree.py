@@ -40,7 +40,6 @@ from .base import (
     Neighbor,
     NodeBatchedSearchMixin,
     _KnnHeap,
-    prune_slack,
     state_array,
     state_int,
 )
@@ -266,8 +265,8 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
                 out.append(Neighbor(float(d_vp), node.vp_index))
                 emit_result_add(tok, node.vp_index, float(d_vp))
             # mu is a member's build-time distance (the median), so the
-            # shell tests get an ulp-scale slack against kernel arithmetic.
-            slack = prune_slack(d_vp, node.mu)
+            # shell tests get the query's slack against kernel arithmetic.
+            slack = bound.slack(d_vp, node.mu)
             if d_vp - radius - slack <= node.mu:
                 emit_lb_check(
                     tok, d_vp - radius - slack, node.mu,
@@ -319,7 +318,7 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
             emit_candidate_verify(tok, node.vp_index, d_vp)
             heap.offer(float(d_vp), node.vp_index)
             tau = heap.radius
-            slack = prune_slack(d_vp, node.mu)
+            slack = bound.slack(d_vp, node.mu)
             inside_dmin = max(d_vp - node.mu - slack, 0.0)
             outside_dmin = max(node.mu - d_vp - slack, 0.0)
             if inside_dmin <= tau:

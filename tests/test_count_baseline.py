@@ -12,6 +12,13 @@ fixture: GNAT range search now evaluates *every* split point of a visited
 node (the old loop stopped early once all groups were pruned, silently
 dropping any later split lying inside the query ball), so its range
 counts charge the full arity per visited node.
+
+A second one: the SAT assigns each non-neighbor to its closest member of
+the *final* neighbor set (the old build used the neighbors found so far, so
+a later, closer neighbor broke the hyperplane-pruning invariant and kNN
+could miss the true nearest neighbor).  The tree shape changes with it, so
+the ``*/sat`` build and query counts were regenerated from the fixed build;
+every other entry is unchanged.
 """
 
 from __future__ import annotations

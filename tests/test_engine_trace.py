@@ -14,16 +14,24 @@ The central claims verified here:
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.core import QuadraticFormDistance
 from repro.datasets import histogram_workload
-from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
+from repro.distances import (
+    CountingDistance,
+    euclidean,
+    euclidean_one_to_many,
+    manhattan,
+)
 from repro.engine import (
     QueryTrace,
     TraceCollector,
-    TracingPort,
     activate_trace,
     current_trace,
     record_candidates,
@@ -38,6 +46,14 @@ N_PIVOTS = 8
 @pytest.fixture(scope="module")
 def workload():
     return histogram_workload(180, 5, bins_per_channel=4, seed=53)
+
+
+def _plain_manhattan(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.abs(u - v).sum())
+
+
+def _manhattan_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return np.abs(rows - q).sum(axis=1)
 
 
 def _counting_port() -> tuple[DistancePort, CountingDistance]:
@@ -112,7 +128,39 @@ class TestTracesAgreeWithCounters:
         port_before = am._port
         am.knn_search_batch(workload.queries, 3, executor="thread", workers=2)
         assert am._port is port_before
-        assert not isinstance(am._port, TracingPort)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_concurrent_traced_batches_on_one_index(self, executor) -> None:
+        """Traced batches running at once on one shared index each count
+        their own evaluations, and none of them modifies the index.  With
+        one worker the process executor runs its chunk inline on the
+        shared index."""
+        data = histogram_workload(2000, 20, bins_per_channel=2, seed=11)
+        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+        am = SequentialFile(data.database, counter)
+        port = am._port
+        queries = data.queries
+        assert queries.shape[0] == 20
+        start = threading.Barrier(4, timeout=60)
+
+        def traced_batch(_: int) -> int:
+            collector = TraceCollector()
+            start.wait()
+            am.knn_search_batch(
+                queries, 5, executor=executor, workers=1, collector=collector
+            )
+            return collector.summary().distance_evaluations
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(3):
+                    counts = list(pool.map(traced_batch, range(4), timeout=120))
+                    assert counts == [40000] * 4
+                    assert am._port is port
+        finally:
+            sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("bound", ["triangle", "best"])
@@ -219,18 +267,38 @@ class TestTracePlumbing:
         record_filter(10, 3)
         record_candidates(5)  # must not raise
 
-    def test_tracing_port_forwards_and_charges(self) -> None:
-        port, counter = _counting_port()
-        tracing = TracingPort(port)
-        trace = QueryTrace()
-        u, rows = np.zeros(4), np.ones((3, 4))
-        with activate_trace(trace):
-            tracing.pair(u, rows[0])
-            tracing.many(u, rows)
-        assert (trace.scalar_evaluations, trace.batched_evaluations) == (1, 3)
-        assert counter.count == 4  # inner counter still sees everything
-        assert tracing.inner is port
-        assert tracing.raw is port.raw
+    @pytest.mark.parametrize(
+        "distance,split",
+        [
+            pytest.param(
+                lambda: CountingDistance(QuadraticFormDistance(np.eye(4))),
+                (1, 3),
+                id="qfd-kernel",
+            ),
+            pytest.param(
+                lambda: CountingDistance(manhattan, one_to_many=_manhattan_one_to_many),
+                (1, 3),
+                id="vectorized",
+            ),
+            pytest.param(lambda: _plain_manhattan, (4, 0), id="scalar-callable"),
+        ],
+    )
+    def test_port_charges_the_active_trace(self, distance, split) -> None:
+        """The bare port's pair/many write the active trace, the counter
+        and the EXPLAIN buffer with one split: kernel and vectorized rows
+        are batched, a plain scalar function's loop is scalar calls."""
+        func = distance()
+        port = DistancePort(func)
+        trace, buffer = QueryTrace(), EventBuffer()
+        u, rows = np.zeros(4), np.arange(12.0).reshape(3, 4)
+        with activate_trace(trace), collect_events(buffer):
+            pair = port.pair(u, rows[0])
+            many = port.many(u, rows)
+        assert (trace.scalar_evaluations, trace.batched_evaluations) == split
+        assert (buffer.charged_calls, buffer.charged_rows) == split
+        if isinstance(func, CountingDistance):
+            assert (func.stats.calls, func.stats.batch_rows) == split
+        assert pair == pytest.approx(many[0])
 
     def test_collector_orders_and_summarizes(self) -> None:
         collector = TraceCollector()

@@ -248,6 +248,13 @@ NEAR_DUPLICATE_CASES = [
     for bound in ("triangle", "ptolemaic", "best")
 ] + [pytest.param("mindex", {"n_pivots": 8, "pivot_method": "random"}, id="mindex")]
 
+#: Tree MAMs whose prune tests compare Gram-evaluated query distances with
+#: stored covering radii, parent distances, medians and ranges.
+TREE_PRUNE_CASES = [
+    pytest.param(method, METHOD_KWARGS[method], id=method)
+    for method in ("mtree", "paged-mtree", "gnat", "sat", "vptree")
+]
+
 
 class TestNearDuplicatePivotSelfQuery:
     """Self-queries of objects that nearly duplicate a pivot, under QFD.
@@ -292,7 +299,7 @@ class TestNearDuplicatePivotSelfQuery:
             top = index.knn_search(db[target], 1)[0]
             assert top.index == target and top.distance == 0.0, (method, rel, top)
 
-    @pytest.mark.parametrize("method,kwargs", NEAR_DUPLICATE_CASES)
+    @pytest.mark.parametrize("method,kwargs", NEAR_DUPLICATE_CASES + TREE_PRUNE_CASES)
     def test_self_queries_on_concentrated_data(self, method, kwargs, workload) -> None:
         """A large common offset keeps every distance but inflates the
         norms, so all pairs sit where the expansion's absolute error
